@@ -30,14 +30,9 @@ from .cauchy import (
 )
 from .enumeration import (
     BraceCatalog,
-    Holomorph,
-    HolomorphElement,
     all_skew_braces,
     are_isomorphic_braces,
-    brace_from_regular_subgroup,
     groups_of_order,
-    holomorph,
-    regular_subgroups,
 )
 from .groups import (
     FiniteGroup,
@@ -80,8 +75,6 @@ __all__ = [
     "ElementSet",
     "FiniteGroup",
     "GroupProperties",
-    "Holomorph",
-    "HolomorphElement",
     "QuotientBrace",
     "SkewBrace",
     "SolutionReport",
@@ -92,7 +85,6 @@ __all__ = [
     "are_isomorphic_braces",
     "automorphism_group",
     "brace_centers",
-    "brace_from_regular_subgroup",
     "brace_square",
     "cauchy_report",
     "centralizer",
@@ -105,7 +97,6 @@ __all__ = [
     "full_mask",
     "group_properties",
     "groups_of_order",
-    "holomorph",
     "ideals",
     "is_ideal",
     "is_isomorphic",
@@ -120,7 +111,6 @@ __all__ = [
     "minimal_ideals",
     "opposite",
     "quotient",
-    "regular_subgroups",
     "star",
     "star_span",
     "subbraces",

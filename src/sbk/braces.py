@@ -5,8 +5,10 @@ and linked by the left compatibility law
 
 The lambda maps lam[a](b) = -a + a*b are precomputed at construction; each
 is an automorphism of the additive group and a in (B,*) -> lam[a] is a
-group homomorphism. Both facts are re-verified when a brace is built, so
-every downstream module can rely on the cache.
+group homomorphism. Both facts follow from the compatibility law once both
+tables are groups (Guarnieri and Vendramin, Math. Comp. 86 (2017),
+Prop. 1.9), so checking the law on every triple is all that construction
+needs.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal, Optional, Sequence
 
-from .errors import ConstructionFailed, IdentityMismatch, LeftDistributivityFails
-from .groups import FiniteGroup, Perm, make_group
+from .errors import IdentityMismatch, LeftDistributivityFails
+from .groups import FiniteGroup, Perm, find_identity, make_group
 
 
 @dataclass(frozen=True)
@@ -47,27 +49,11 @@ class BraceFlags:
         }
 
 
-def _find_identity(table: Sequence[Sequence[int]]) -> Optional[int]:
-    n = len(table)
-    for e in range(n):
-        if all(table[e][j] == j for j in range(n)) and all(
-            table[i][e] == i for i in range(n)
-        ):
-            return e
-    return None
-
-
-def _relabel(table: Sequence[Sequence[int]], sigma: Sequence[int]) -> list[list[int]]:
-    n = len(table)
-    return [[sigma[table[sigma[i]][sigma[j]]] for j in range(n)] for i in range(n)]
-
-
 def assemble(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
     """Build a brace from two validated groups on the same index set.
 
-    Checks the compatibility law on every triple, then builds and verifies
-    the lambda cache. Raises LeftDistributivityFails at the first bad
-    triple.
+    Checks the compatibility law on every triple, then builds the lambda
+    cache. Raises LeftDistributivityFails at the first bad triple.
     """
     n = add.n
     if mul.n != n:
@@ -87,32 +73,7 @@ def assemble(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
     lam = tuple(
         tuple(at[ainv[a]][mt[a][b]] for b in range(n)) for a in range(n)
     )
-    _verify_lambda(add, mul, lam)
     return SkewBrace(n=n, add=add, mul=mul, lam=lam)
-
-
-def _verify_lambda(add: FiniteGroup, mul: FiniteGroup, lam: tuple[Perm, ...]) -> None:
-    n = add.n
-    if lam[0] != tuple(range(n)):
-        raise ConstructionFailed("lambda of the identity is not the identity map")
-    at = add.table
-    for a in range(n):
-        p = lam[a]
-        if sorted(p) != list(range(n)):
-            raise ConstructionFailed(f"lambda[{a}] is not a permutation")
-        for b in range(n):
-            for c in range(n):
-                if p[at[b][c]] != at[p[b]][p[c]]:
-                    raise ConstructionFailed(
-                        f"lambda[{a}] is not additive at ({b}, {c})"
-                    )
-    for a in range(n):
-        for b in range(n):
-            composed = tuple(lam[a][lam[b][c]] for c in range(n))
-            if lam[mul.table[a][b]] != composed:
-                raise ConstructionFailed(
-                    f"lambda is not multiplicative at ({a}, {b})"
-                )
 
 
 def make_skew_brace(
@@ -123,26 +84,25 @@ def make_skew_brace(
 ) -> SkewBrace:
     """Validate both tables, normalize the shared identity to 0, and check
     the compatibility law. Raises IdentityMismatch if the two tables have
-    different identity elements."""
+    different identity elements. Every error names cells, elements and
+    triples in the labels of the tables as given."""
     if len(add_table) != len(mul_table):
         raise ValueError("additive and multiplicative tables differ in size")
-    e_add = _find_identity(add_table)
-    e_mul = _find_identity(mul_table)
-    if e_add is None or e_mul is None:
-        # let make_group produce the precise NoIdentity error
-        add = make_group(add_table, name=add_name)
-        make_group(mul_table, name=mul_name)
-        raise ConstructionFailed("unreachable")  # pragma: no cover
-    if e_add != e_mul:
+    e_add = find_identity(add_table)
+    e_mul = find_identity(mul_table)
+    if e_add is not None and e_mul is not None and e_add != e_mul:
         raise IdentityMismatch(e_add, e_mul)
-    if e_add != 0:
-        sigma = list(range(len(add_table)))
-        sigma[0], sigma[e_add] = e_add, 0
-        add_table = _relabel(add_table, sigma)
-        mul_table = _relabel(mul_table, sigma)
+    # make_group reports in the given labels, then moves the identity to 0
+    # by the transposition (0 e_add); both tables share that relabeling.
     add = make_group(add_table, name=add_name)
     mul = make_group(mul_table, name=mul_name)
-    return assemble(add, mul)
+    try:
+        return assemble(add, mul)
+    except LeftDistributivityFails as exc:
+        if not e_add:
+            raise
+        back = {0: e_add, e_add: 0}
+        raise LeftDistributivityFails(*(back.get(x, x) for x in exc.triple)) from None
 
 
 def lambda_of(B: SkewBrace, a: int) -> Perm:

@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Any, Optional
 
@@ -22,8 +23,8 @@ from . import serialize
 from .bitset import members
 from .braces import classify, opposite
 from .cauchy import cauchy_report, find_subbrace_of_order, survey_order
-from .enumeration import all_skew_braces
-from .errors import SkewBraceKitError
+from .enumeration import _resolve_cap, all_skew_braces
+from .errors import BadInput, SkewBraceKitError, UnsupportedOrder
 from .groups import prime_divisors
 from .substructure import (
     brace_centers,
@@ -35,7 +36,7 @@ from .substructure import (
     minimal_ideals,
     subbrace_carriers,
 )
-from .ybe import check_solution, to_solution
+from .ybe import SolutionReport, to_solution
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -248,13 +249,18 @@ def _survey_order(n: int) -> list[dict[str, Any]]:
 
 
 def _run_per_order(n_max: int, workers: int, job) -> list[Any]:
+    if workers < 1:
+        raise BadInput(f"--workers must be at least 1, got {workers}")
+    limit = _resolve_cap(None)
+    if n_max > limit:
+        raise UnsupportedOrder(n_max, limit)
     orders = list(range(1, n_max + 1))
-    if workers <= 1:
+    if workers == 1:
         return [job(n) for n in orders]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(job, orders))
-    except (OSError, PermissionError):  # pragma: no cover - sandbox fallback
+    except OSError:  # pragma: no cover - platforms that cannot start processes
         return [job(n) for n in orders]
 
 
@@ -282,22 +288,20 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 def cmd_ybe(args: argparse.Namespace) -> int:
     B = serialize.load_brace(args.path)
+    # to_solution raises unless r satisfies the braid relation and is
+    # non-degenerate, so the report it has checked is a valid one
     r = to_solution(B)
-    report = check_solution(r)
-    obj = serialize.ybe_to_obj(r, report)
+    report = SolutionReport(
+        braid_ok=True, nondegenerate=True, braid_violation=None, degenerate_slot=None
+    )
     if args.json:
-        _print(serialize.canonical_dumps(obj))
+        _print(serialize.canonical_dumps(serialize.ybe_to_obj(r, report)))
     else:
-        _print(
-            f"order {B.n}: braid relation "
-            f"{'holds' if report.braid_ok else 'FAILS'}, "
-            f"{'non-degenerate' if report.nondegenerate else 'DEGENERATE'}\n"
-        )
+        _print(f"order {B.n}: braid relation holds, non-degenerate\n")
     return EXIT_OK
 
 
-def _harness_order(job: tuple[int, bool, bool]) -> dict[str, Any]:
-    n, two_sided, bi_skew = job
+def _harness_order(n: int, two_sided: bool, bi_skew: bool) -> dict[str, Any]:
     catalog = all_skew_braces(n)
     checked = 0
     failures = []
@@ -316,15 +320,8 @@ def _harness_order(job: tuple[int, bool, bool]) -> dict[str, Any]:
 def cmd_harness(args: argparse.Namespace) -> int:
     two_sided = args.two_sided or not (args.two_sided or args.bi_skew)
     bi_skew = args.bi_skew or not (args.two_sided or args.bi_skew)
-    jobs = [(n, two_sided, bi_skew) for n in range(1, args.n_max + 1)]
-    if args.workers <= 1:
-        results = [_harness_order(j) for j in jobs]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(_harness_order, jobs))
-        except (OSError, PermissionError):  # pragma: no cover - sandbox fallback
-            results = [_harness_order(j) for j in jobs]
+    job = partial(_harness_order, two_sided=two_sided, bi_skew=bi_skew)
+    results = _run_per_order(args.n_max, args.workers, job)
     failures = [f for r in results for f in r["failures"]]
     obj = {
         "scope": {

@@ -1,8 +1,8 @@
 """Catalogs of all skew braces of a small order, up to isomorphism.
 
 For each additive group G the braces with that additive group correspond
-to the regular subgroups of the holomorph of G (the permutations
-x -> g + alpha(x) with alpha an automorphism). A regular subgroup contains
+to the regular subgroups of Hol(G), the group of permutations
+x -> g + alpha(x) with alpha an automorphism. A regular subgroup contains
 exactly one element per shift g, so the search assigns an automorphism to
 every shift and propagates the closure constraint
 alpha_{a + alpha_a(b)} = alpha_a o alpha_b; complete assignments are
@@ -17,10 +17,10 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .braces import SkewBrace, assemble
-from .errors import ConstructionFailed, SkewBraceKitError, UnsupportedOrder
+from .errors import BadInput, UnsupportedOrder
 from .groups import (
     FiniteGroup,
     Perm,
@@ -31,6 +31,7 @@ from .groups import (
     dihedral_group,
     direct_product,
     element_order,
+    is_isomorphic,
     make_group,
     table_isomorphisms,
     trivial_group,
@@ -39,20 +40,6 @@ from .groups import (
 DEFAULT_ORDER_CAP = 12
 HARD_ORDER_CAP = 15
 GROUP_ORDER_CAP = 15
-
-
-@dataclass(frozen=True)
-class HolomorphElement:
-    shift: int
-    auto: Perm
-    perm: Perm
-
-
-@dataclass(frozen=True)
-class Holomorph:
-    group: FiniteGroup
-    auts: tuple[Perm, ...]
-    elements: tuple[HolomorphElement, ...]
 
 
 @dataclass(frozen=True)
@@ -115,61 +102,23 @@ def groups_of_order(n: int) -> list[FiniteGroup]:
     raise UnsupportedOrder(n, GROUP_ORDER_CAP)  # pragma: no cover
 
 
-def holomorph(G: FiniteGroup) -> Holomorph:
-    """All n * |Aut(G)| maps x -> g + alpha(x), verified to act faithfully
-    and to compose as (g, alpha)(h, beta) = (g + alpha(h), alpha o beta)."""
-    auts = tuple(automorphism_group(G))
-    n = G.n
-    add = G.table
-    elements = []
-    for g in range(n):
-        row = add[g]
-        for alpha in auts:
-            perm = tuple(row[alpha[x]] for x in range(n))
-            elements.append(HolomorphElement(shift=g, auto=alpha, perm=perm))
-    perms = {el.perm for el in elements}
-    if len(perms) != len(elements):
-        raise ConstructionFailed("holomorph action is not faithful")
-    _verify_holomorph_composition(G, auts, elements)
-    return Holomorph(group=G, auts=auts, elements=tuple(elements))
-
-
-def _verify_holomorph_composition(
-    G: FiniteGroup, auts: Sequence[Perm], elements: Sequence[HolomorphElement]
-) -> None:
-    n = G.n
-    add = G.table
-    aut_pos = {a: i for i, a in enumerate(auts)}
-
-    def composed(x: HolomorphElement, y: HolomorphElement) -> HolomorphElement:
-        shift = add[x.shift][x.auto[y.shift]]
-        alpha = tuple(x.auto[y.auto[i]] for i in range(n))
-        return elements[shift * len(auts) + aut_pos[alpha]]
-
-    if len(elements) <= 500:
-        pairs: Iterable[tuple[HolomorphElement, HolomorphElement]] = (
-            (x, y) for x in elements for y in elements
-        )
-    else:
-        gens = [el for el in elements if el.shift == 0 or el.auto == auts[0]]
-        pairs = ((x, y) for x in elements for y in gens)
-    for x, y in pairs:
-        z = composed(x, y)
-        if tuple(x.perm[y.perm[i]] for i in range(n)) != z.perm:
-            raise ConstructionFailed("holomorph composition law violated")
-
-
-def _regular_assignments(G: FiniteGroup, auts: Sequence[Perm]) -> list[tuple[int, ...]]:
-    """All maps shift -> automorphism index whose graph is a regular
-    subgroup of the holomorph, in lexicographic search order."""
-    n = G.n
-    add = G.table
-    k = len(auts)
+def _aut_products(auts: Sequence[Perm]) -> list[list[int]]:
+    """Product table of the automorphisms: amul[i][j] indexes auts[i] o auts[j]."""
+    n = len(auts[0])
     aut_idx = {p: i for i, p in enumerate(auts)}
-    id_idx = aut_idx[tuple(range(n))]
-    amul = [
+    return [
         [aut_idx[tuple(p[q[x]] for x in range(n))] for q in auts] for p in auts
     ]
+
+
+def _regular_assignments(
+    G: FiniteGroup, auts: Sequence[Perm], amul: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """All maps shift -> automorphism index whose graph is a regular
+    subgroup of Hol(G), in lexicographic search order."""
+    n = G.n
+    add = G.table
+    id_idx = auts.index(tuple(range(n)))
 
     # Every non-identity element of a regular subgroup moves every point,
     # so each shift only admits automorphisms giving a fixed-point-free map.
@@ -238,40 +187,6 @@ def _regular_assignments(G: FiniteGroup, auts: Sequence[Perm]) -> list[tuple[int
     if propagate(init, [0]):
         backtrack(init)
     return results
-
-
-def regular_subgroups(hol: Holomorph) -> list[tuple[HolomorphElement, ...]]:
-    """All regular subgroups (transitive with trivial point stabilizers),
-    each listed by ascending shift."""
-    G = hol.group
-    auts = hol.auts
-    k = len(auts)
-    assignments = _regular_assignments(G, auts)
-    out = []
-    for assign in assignments:
-        out.append(
-            tuple(hol.elements[a * k + assign[a]] for a in range(G.n))
-        )
-    return out
-
-
-def brace_from_regular_subgroup(
-    G: FiniteGroup, R: Sequence[HolomorphElement]
-) -> SkewBrace:
-    """Brace with additive group G and a * b = r_a(b), where r_a is the
-    unique member of R sending 0 to a."""
-    n = G.n
-    by_shift: dict[int, Perm] = {}
-    for el in R:
-        by_shift[el.perm[0]] = el.perm
-    if sorted(by_shift) != list(range(n)):
-        raise ConstructionFailed("subgroup is not regular: shifts do not cover 0..n-1")
-    mul_table = [by_shift[a] for a in range(n)]
-    try:
-        mul = make_group([list(row) for row in mul_table])
-        return assemble(G, mul)
-    except SkewBraceKitError as exc:
-        raise ConstructionFailed(f"regular subgroup produced an invalid brace: {exc}") from exc
 
 
 def _lambda_cycle_type(perm: Perm) -> tuple[int, ...]:
@@ -364,20 +279,13 @@ def _conjugate_assignment(
 
 
 def _orbit_representatives(
-    assignments: Sequence[tuple[int, ...]], auts: Sequence[Perm]
+    assignments: Sequence[tuple[int, ...]],
+    auts: Sequence[Perm],
+    amul: Sequence[Sequence[int]],
 ) -> list[tuple[int, ...]]:
-    n = len(auts[0])
     k = len(auts)
-    aut_idx = {p: i for i, p in enumerate(auts)}
-    amul = [
-        [aut_idx[tuple(p[q[x]] for x in range(n))] for q in auts] for p in auts
-    ]
-    ainv = [0] * k
-    for i, p in enumerate(auts):
-        inv = [0] * n
-        for x, y in enumerate(p):
-            inv[y] = x
-        ainv[i] = aut_idx[tuple(inv)]
+    id_idx = auts.index(tuple(range(len(auts[0]))))
+    ainv = [row.index(id_idx) for row in amul]
     reps = sorted(
         {
             min(
@@ -393,33 +301,50 @@ def _orbit_representatives(
 def _resolve_cap(cap: Optional[int]) -> int:
     if cap is None:
         env = os.environ.get("SBK_MAX_ORDER")
-        cap = int(env) if env else DEFAULT_ORDER_CAP
+        try:
+            cap = int(env) if env else DEFAULT_ORDER_CAP
+        except ValueError:
+            raise BadInput(f"SBK_MAX_ORDER must be an integer, got {env!r}") from None
     return min(cap, HARD_ORDER_CAP)
+
+
+def _brace_from_assignment(
+    G: FiniteGroup, auts: Sequence[Perm], assign: Sequence[int]
+) -> SkewBrace:
+    """The brace with a * b = a + alpha_a(b), alpha_a = auts[assign[a]]."""
+    n = G.n
+    mul_table = [[G.table[a][auts[assign[a]][b]] for b in range(n)] for a in range(n)]
+    return assemble(G, make_group(mul_table))
 
 
 @lru_cache(maxsize=None)
 def _catalog(n: int) -> BraceCatalog:
     groups = groups_of_order(n)
+    # Through order 8 each additive block is ordered by the canonical table
+    # of its multiplicative group's type, one per group of order n; ties
+    # keep search order.
+    canon = [canonical_table(H.table) for H in groups] if n <= 8 else []
+
+    def mul_type_key(b: SkewBrace) -> tuple[tuple[int, ...], ...]:
+        return next(
+            c for H, c in zip(groups, canon) if is_isomorphic(b.mul, H) is not None
+        )
+
     entries: list[SkewBrace] = []
     provenance: list[int] = []
     for gi, G in enumerate(groups):
         auts = automorphism_group(G)
-        assignments = _regular_assignments(G, auts)
-        reps = _orbit_representatives(assignments, auts)
-        braces = []
-        for assign in reps:
-            mul_table = [
-                [G.table[a][auts[assign[a]][b]] for b in range(n)] for a in range(n)
-            ]
-            braces.append(assemble(G, make_group(mul_table)))
+        amul = _aut_products(auts)
+        assignments = _regular_assignments(G, auts, amul)
+        reps = _orbit_representatives(assignments, auts, amul)
         # conjugacy already separates classes; certify it by explicit search
         kept: list[SkewBrace] = []
-        for b in braces:
+        for b in (_brace_from_assignment(G, auts, assign) for assign in reps):
             if any(are_isomorphic_braces(b, other) is not None for other in kept):
                 continue
             kept.append(b)
-        if n <= 8:
-            kept.sort(key=lambda b: canonical_table(b.mul.table))
+        if canon:
+            kept.sort(key=mul_type_key)
         entries.extend(kept)
         provenance.extend([gi] * len(kept))
     return BraceCatalog(

@@ -6,13 +6,21 @@ failure report can point at concrete table entries.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class SkewBraceKitError(Exception):
     """Base class for all errors raised by this package."""
 
+    def __reduce__(self):
+        # Subclass constructors take other arguments than the message kept
+        # in args; unpickle (as in a worker process) without calling them.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
+
 
 class BadInput(SkewBraceKitError):
-    """Malformed JSON payload or table shape."""
+    """Malformed input: JSON payload, table shape, option or environment
+    value."""
 
 
 class GroupTooLarge(SkewBraceKitError):

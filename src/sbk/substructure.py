@@ -165,7 +165,8 @@ def is_soluble_brace(B: SkewBrace) -> Optional[list[ElementSet]]:
 
     The search takes any nonzero ideal that is an abelian brace (minimal
     ideals first) and recurses on the quotient; solubility passes to
-    quotients, so the first such ideal decides.
+    quotients, so the first such ideal decides. The first step of any
+    witness chain is such an ideal, so finding none decides as well.
     """
     if B.n == 1:
         return [1]
@@ -175,19 +176,16 @@ def is_soluble_brace(B: SkewBrace) -> Optional[list[ElementSet]]:
     all_ideals = ideals(B)
     minimal = minimal_ideals(B)
     ordered = minimal + [m for m in all_ideals if size(m) > 1 and m not in minimal]
-    for cand in ordered:
-        if not is_abelian_carrier(B, cand):
-            continue
-        q = quotient(B, cand)
-        rest = is_soluble_brace(q.brace)
-        if rest is None:
-            continue
-        chain = [1, cand]
-        for coset_mask in rest:
-            lifted = mask_of(
-                x for x in range(B.n) if contains(coset_mask, q.projection[x])
-            )
-            if lifted != cand:
-                chain.append(lifted)
-        return chain
-    return None
+    cand = next((m for m in ordered if is_abelian_carrier(B, m)), None)
+    if cand is None:
+        return None
+    q = quotient(B, cand)
+    rest = is_soluble_brace(q.brace)
+    if rest is None:
+        return None
+    chain = [1, cand]
+    for coset_mask in rest:
+        lifted = mask_of(x for x in range(B.n) if contains(coset_mask, q.projection[x]))
+        if lifted != cand:
+            chain.append(lifted)
+    return chain

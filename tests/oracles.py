@@ -162,6 +162,32 @@ def _lambda_table(B) -> list[list[int]]:
     return [[at[neg[a]][mt[a][b]] for b in range(n)] for a in range(n)]
 
 
+def lambda_maps_problem(B):
+    """Check the brace's lambda cache against the definition lam[a](b) =
+    -a + a*b, each lam[a] against being an automorphism of (B, +), and
+    a -> lam[a] against being a homomorphism from (B, *). Returns the
+    first failure found, or None."""
+    n = B.n
+    at = B.add.table
+    mt = B.mul.table
+    lam = _lambda_table(B)
+    if [list(p) for p in B.lam] != lam:
+        return "cached lambda maps differ from -a + a*b"
+    for a in range(n):
+        p = lam[a]
+        if sorted(p) != list(range(n)):
+            return f"lambda[{a}] is not a permutation"
+        for b in range(n):
+            for c in range(n):
+                if p[at[b][c]] != at[p[b]][p[c]]:
+                    return f"lambda[{a}] is not additive at ({b}, {c})"
+    for a in range(n):
+        for b in range(n):
+            if lam[mt[a][b]] != [lam[a][lam[b][c]] for c in range(n)]:
+                return f"lambda is not multiplicative at ({a}, {b})"
+    return None
+
+
 def _star_table(B) -> list[list[int]]:
     n = B.n
     at = B.add.table

@@ -13,7 +13,12 @@ from sbk.braces import (
     swap,
 )
 from sbk.enumeration import all_skew_braces
-from sbk.errors import IdentityMismatch, LeftDistributivityFails
+from sbk.errors import (
+    IdentityMismatch,
+    LeftDistributivityFails,
+    NotAssociative,
+    NotLatinSquare,
+)
 from sbk.groups import cyclic_group, dihedral_group, element_order
 
 
@@ -74,6 +79,59 @@ def test_shared_identity_normalized_on_load():
     B = make_skew_brace(relabeled, relabeled)
     assert B.add.table[0] == (0, 1, 2)
     assert classify(B).trivial
+
+
+def relabel_to(table, sigma):
+    """The table with every label x renamed sigma[x]."""
+    n = len(table)
+    inv = [sigma.index(i) for i in range(n)]
+    return [[sigma[table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+
+
+def c6_identity_at_1():
+    return relabel_to([[(i + j) % 6 for j in range(6)] for i in range(6)], [1, 0, 2, 3, 4, 5])
+
+
+def test_off_zero_identity_compatibility_error_names_a_failing_triple():
+    # two cyclic groups of order 4 that are not compatible, written with
+    # their shared identity at index 1
+    add = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]
+    mul = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
+    sigma = [1, 0, 2, 3]
+    A, M = relabel_to(add, sigma), relabel_to(mul, sigma)
+    with pytest.raises(LeftDistributivityFails) as info:
+        make_skew_brace(A, M)
+    a, b, c = info.value.triple
+    neg_a = A[a].index(1)
+    assert M[a][A[b][c]] != A[A[M[a][b]][neg_a]][M[a][c]]
+
+
+def test_off_zero_identity_associativity_error_names_a_failing_triple():
+    # cyclic group of order 6 with its identity at index 1, then a swap of
+    # a 2x2 Latin subsquare away from the identity: rows and columns stay
+    # permutations, associativity breaks
+    good = c6_identity_at_1()
+    i, j, k, l = next(
+        (i, j, k, l)
+        for i, j, k, l in product(range(6), repeat=4)
+        if 1 not in (i, j, k, l) and i < k and j < l
+        and good[i][j] == good[k][l] and good[i][l] == good[k][j]
+    )
+    bad = [row.copy() for row in good]
+    bad[i][j], bad[i][l], bad[k][j], bad[k][l] = good[i][l], good[i][j], good[k][l], good[k][j]
+    with pytest.raises(NotAssociative) as info:
+        make_skew_brace(good, bad)
+    x, y, z = info.value.triple
+    assert bad[bad[x][y]][z] != bad[x][bad[y][z]]
+
+
+def test_off_zero_identity_latin_error_names_the_bad_row():
+    good = c6_identity_at_1()
+    bad = [row.copy() for row in good]
+    bad[0][2] = bad[0][3]
+    with pytest.raises(NotLatinSquare) as info:
+        make_skew_brace(good, bad)
+    assert (info.value.kind, info.value.index) == ("row", 0)
 
 
 def test_almost_trivial_sym3_valid():

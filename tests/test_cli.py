@@ -83,6 +83,12 @@ def test_ybe_command(tmp_path, capsys):
     assert obj["r"][1][2] == [2, 1]
 
 
+def test_ybe_text(tmp_path, capsys):
+    path = write_brace(tmp_path, from_group(dihedral_group(6), "almost_trivial"))
+    assert main(["ybe", path]) == 0
+    assert capsys.readouterr().out == "order 6: braid relation holds, non-degenerate\n"
+
+
 def test_enumerate_manifest_counts(tmp_path, capsys):
     assert main(["enumerate", "4", "--out", str(tmp_path / "out")]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -97,6 +103,29 @@ def test_enumerate_filters(tmp_path, capsys):
     assert main(["enumerate", "6", "--two-sided"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["count"] < obj["total_classes"]
+
+
+def test_survey_past_the_cap_with_workers_is_one_error_line():
+    result = run_cli(["survey", "13", "--workers", "2"])
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: order 13 is outside the supported range 1..12\n"
+
+
+def test_non_integer_order_cap_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("SBK_MAX_ORDER", "abc")
+    assert main(["survey", "3", "--workers", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SBK_MAX_ORDER must be an integer, got 'abc'\n"
+
+
+def test_zero_workers_is_an_error(capsys):
+    for cmd in ("survey", "harness"):
+        assert main([cmd, "3", "--workers", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --workers must be at least 1, got 0\n"
 
 
 def test_survey_command(capsys):

@@ -2,16 +2,17 @@ import pytest
 
 from sbk.braces import classify, from_group
 from sbk.enumeration import (
+    _aut_products,
+    _brace_from_assignment,
+    _regular_assignments,
     all_skew_braces,
     are_isomorphic_braces,
-    brace_from_regular_subgroup,
     canonical_table,
     groups_of_order,
-    holomorph,
-    regular_subgroups,
 )
-from sbk.errors import ConstructionFailed, UnsupportedOrder
+from sbk.errors import BadInput, UnsupportedOrder
 from sbk.groups import (
+    automorphism_group,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -48,53 +49,39 @@ def test_groups_of_order_cap():
         groups_of_order(16)
 
 
-def test_holomorph_orders():
-    assert len(holomorph(cyclic_group(3)).elements) == 6
-    assert len(holomorph(cyclic_group(2)).elements) == 2
-    klein = direct_product(cyclic_group(2), cyclic_group(2))
-    assert len(holomorph(klein).elements) == 24
-
-
-def test_holomorph_of_z3_is_two_transitive():
-    hol = holomorph(cyclic_group(3))
-    pairs = {(el.perm[0], el.perm[1]) for el in hol.elements}
-    assert pairs == {(a, b) for a in range(3) for b in range(3) if a != b}
+def regular_braces(G):
+    """One brace per regular subgroup of Hol(G), in search
+    order: the catalog's candidates before orbit reduction."""
+    auts = automorphism_group(G)
+    return [
+        _brace_from_assignment(G, auts, assign)
+        for assign in _regular_assignments(G, auts, _aut_products(auts))
+    ]
 
 
 def test_regular_subgroups_of_prime_cyclic():
     for p in (3, 5, 7):
-        hol = holomorph(cyclic_group(p))
-        regs = regular_subgroups(hol)
-        assert len(regs) == 1
+        G = cyclic_group(p)
+        auts = automorphism_group(G)
+        assignments = _regular_assignments(G, auts, _aut_products(auts))
         # the unique regular subgroup is the translations
-        perms = {el.perm for el in regs[0]}
-        expected = {
-            tuple((g + x) % p for x in range(p)) for g in range(p)
-        }
-        assert perms == expected
+        assert assignments == [(auts.index(tuple(range(p))),) * p]
+        assert regular_braces(G)[0].mul.table == G.table
 
 
 def test_regular_subgroups_of_klein():
     klein = direct_product(cyclic_group(2), cyclic_group(2))
-    regs = regular_subgroups(holomorph(klein))
-    assert len(regs) == 4
-    translations = 0
-    cyclic4 = 0
-    for R in regs:
-        muls = brace_from_regular_subgroup(klein, R)
-        if is_isomorphic(muls.mul, cyclic_group(4)) is not None:
-            cyclic4 += 1
-        if muls.mul.table == klein.table:
-            translations += 1
+    braces = regular_braces(klein)
+    assert len(braces) == 4
+    translations = sum(B.mul.table == klein.table for B in braces)
+    cyclic4 = sum(is_isomorphic(B.mul, cyclic_group(4)) is not None for B in braces)
     assert translations == 1
     assert cyclic4 == 3
 
 
 def test_translations_give_trivial_brace():
     G = dihedral_group(6)
-    hol = holomorph(G)
-    for R in regular_subgroups(hol):
-        B = brace_from_regular_subgroup(G, R)
+    for B in regular_braces(G):
         if B.mul.table == G.table:
             assert classify(B).trivial
             break
@@ -104,23 +91,8 @@ def test_translations_give_trivial_brace():
 
 def test_twisted_translations_give_almost_trivial_brace():
     G = dihedral_group(6)
-    hol = holomorph(G)
     almost = from_group(G, "almost_trivial")
-    found = False
-    for R in regular_subgroups(hol):
-        B = brace_from_regular_subgroup(G, R)
-        if B.mul.table == almost.mul.table:
-            found = True
-    assert found
-
-
-def test_brace_from_non_regular_input_fails():
-    G = cyclic_group(4)
-    hol = holomorph(G)
-    broken = list(regular_subgroups(hol)[0])
-    broken[1] = broken[2]  # two elements share a shift now
-    with pytest.raises(ConstructionFailed):
-        brace_from_regular_subgroup(G, broken)
+    assert any(B.mul.table == almost.mul.table for B in regular_braces(G))
 
 
 def test_are_isomorphic_braces_reflexive():
@@ -225,8 +197,7 @@ def test_regular_subgroup_count_at_least_class_count():
         catalog = all_skew_braces(n)
         by_name = dict(catalog.per_group_counts())
         for G in groups_of_order(n):
-            regs = regular_subgroups(holomorph(G))
-            assert len(regs) >= by_name[G.name]
+            assert len(regular_braces(G)) >= by_name[G.name]
 
 
 def test_catalog_is_deterministic():
@@ -254,6 +225,24 @@ def test_canonical_table_is_relabeling_invariant():
     assert canonical_table(table) == canonical_table(relabeled)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_catalog_blocks_ordered_by_multiplicative_type(n):
+    catalog = all_skew_braces(n)
+    for gi in range(len(catalog.group_names)):
+        block = [
+            oracles.canonical_form(B.mul.table)
+            for B, g in zip(catalog.entries, catalog.provenance)
+            if g == gi
+        ]
+        assert block == sorted(block)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_catalog_lambda_maps_match_oracle(n):
+    for B in all_skew_braces(n, cap=15).entries:
+        assert oracles.lambda_maps_problem(B) is None
+
+
 def test_catalog_order_cap():
     with pytest.raises(UnsupportedOrder):
         all_skew_braces(13)
@@ -265,3 +254,9 @@ def test_catalog_env_cap(monkeypatch):
     monkeypatch.setenv("SBK_MAX_ORDER", "99")
     with pytest.raises(UnsupportedOrder):
         all_skew_braces(16)
+
+
+def test_catalog_env_cap_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("SBK_MAX_ORDER", "abc")
+    with pytest.raises(BadInput, match="SBK_MAX_ORDER must be an integer"):
+        all_skew_braces(3)

@@ -225,6 +225,17 @@ def test_automorphism_group_matches_bruteforce(make):
     assert sorted(automorphism_group(G)) == sorted(oracles.automorphisms_bruteforce(G))
 
 
+def test_automorphism_group_is_closed_under_composition():
+    for n in (8, 12):
+        for G in _groups_of(n):
+            auts = automorphism_group(G)
+            index = set(auts)
+            assert tuple(range(n)) in index
+            assert all(
+                tuple(p[q[x]] for x in range(n)) in index for p in auts for q in auts
+            )
+
+
 def test_automorphisms_verify():
     G = dihedral_group(8)
     auts = automorphism_group(G)
