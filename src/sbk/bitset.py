@@ -21,12 +21,10 @@ def mask_of(indices: Iterable[int]) -> ElementSet:
 def members(mask: ElementSet) -> list[int]:
     """Indices present in the mask, ascending."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -27,13 +27,12 @@ from .enumeration import _resolve_cap, all_skew_braces
 from .errors import BadInput, SkewBraceKitError, UnsupportedOrder
 from .groups import prime_divisors
 from .substructure import (
+    _minimal,
+    _soluble_chain,
     brace_centers,
     brace_square,
-    ideals,
-    is_simple,
-    is_soluble_brace,
+    is_ideal,
     ker_lambda,
-    minimal_ideals,
     subbrace_carriers,
 )
 from .ybe import SolutionReport, to_solution
@@ -114,16 +113,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _analysis_obj(B) -> dict[str, Any]:
+    # one lattice per brace: the ideals, minimal ideals, simplicity and the
+    # solubility chain are all read from the same carriers
     flags = classify(B)
     centers = brace_centers(B)
-    chain = is_soluble_brace(B)
+    carriers = subbrace_carriers(B)
+    ideal_list = [m for m in carriers if is_ideal(B, m)]
+    chain = _soluble_chain(B, ideal_list)
     bopp = opposite(B)
     return {
         "order": B.n,
         "flags": flags.as_dict(),
-        "subbraces": subbrace_carriers(B),
-        "ideals": ideals(B),
-        "minimal_ideals": minimal_ideals(B),
+        "subbraces": carriers,
+        "ideals": ideal_list,
+        "minimal_ideals": _minimal(ideal_list),
         "centers": {
             "add": centers.z_add,
             "mul": centers.z_mul,
@@ -132,7 +135,7 @@ def _analysis_obj(B) -> dict[str, Any]:
         "square": brace_square(B),
         "opposite_square": brace_square(bopp),
         "ker_lambda": ker_lambda(B),
-        "simple": is_simple(B),
+        "simple": len(ideal_list) == 2,
         "soluble": chain is not None,
         "solubility_chain": chain,
     }

@@ -36,12 +36,6 @@ class FiniteGroup:
     inv: tuple[int, ...]
     name: str = field(default="", compare=False)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def elements(self) -> range:
         return range(self.n)
 
@@ -146,22 +140,23 @@ def _order_in_table(table: Sequence[Sequence[int]], x: int) -> int:
 
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> ElementSet:
-    """Subgroup generated by the given elements, as a bitmask."""
+    """Subgroup generated by the given elements, as a bitmask.
+
+    The closure of {0} under right multiplication by the generators: in a
+    finite group every inverse is a positive power, so that closure is
+    already the subgroup. Each element found costs one step per generator.
+    """
+    steps = [g for g in dict.fromkeys(gens) if g != 0]
+    table = G.table
     seen = 1  # identity
     frontier = [0]
-    gen_list = [g for g in gens]
-    for g in gen_list:
-        if not contains(seen, g):
-            seen |= 1 << g
-            frontier.append(g)
-    table = G.table
     while frontier:
-        a = frontier.pop()
-        for b in members(seen):
-            for c in (table[a][b], table[b][a]):
-                if not contains(seen, c):
-                    seen |= 1 << c
-                    frontier.append(c)
+        row = table[frontier.pop()]
+        for g in steps:
+            c = row[g]
+            if not seen >> c & 1:
+                seen |= 1 << c
+                frontier.append(c)
     return seen
 
 
@@ -175,7 +170,7 @@ def is_subgroup(G: FiniteGroup, mask: ElementSet) -> bool:
             return False
         row = table[a]
         for b in ms:
-            if not contains(mask, row[b]):
+            if not mask >> row[b] & 1:
                 return False
     return True
 
@@ -186,22 +181,29 @@ def subgroups(G: FiniteGroup) -> list[ElementSet]:
     Cyclic subgroups seed the search; the lattice is completed by joining
     each known subgroup with each cyclic seed until no new subgroup
     appears. Every subgroup is a join of cyclic ones, so this is complete.
+    Each subgroup keeps the generators it was found with (its parent's
+    plus the seed's), so a join is closed from a few generators rather
+    than from all members.
     """
-    cyclics = sorted({generated_subgroup(G, [x]) for x in G.elements()})
-    found = set(cyclics)
-    frontier = list(cyclics)
+    gens_of: dict[ElementSet, list[int]] = {}
+    for x in G.elements():
+        gens_of.setdefault(generated_subgroup(G, [x]), [x])
+    cyclics = sorted(gens_of)
+    frontier = cyclics
     while frontier:
         new: list[ElementSet] = []
         for sub in frontier:
+            sub_gens = gens_of[sub]
             for cyc in cyclics:
                 if cyc & ~sub == 0:
                     continue
-                join = generated_subgroup(G, members(sub | cyc))
-                if join not in found:
-                    found.add(join)
+                gens = sub_gens + gens_of[cyc]
+                join = generated_subgroup(G, gens)
+                if join not in gens_of:
+                    gens_of[join] = gens
                     new.append(join)
         frontier = new
-    return sorted(found, key=sort_key)
+    return sorted(gens_of, key=sort_key)
 
 
 def _is_prime(p: int) -> bool:
@@ -285,8 +287,10 @@ def is_normal(G: FiniteGroup, mask: ElementSet) -> bool:
     inv = G.inv
     ms = members(mask)
     for g in G.elements():
+        row = table[g]
+        g_inv = inv[g]
         for s in ms:
-            if not contains(mask, table[table[g][s]][inv[g]]):
+            if not mask >> table[row[s]][g_inv] & 1:
                 return False
     return True
 

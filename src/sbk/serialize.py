@@ -15,7 +15,7 @@ import json
 from typing import Any
 
 from .bitset import members
-from .braces import BraceFlags, SkewBrace, make_skew_brace
+from .braces import SkewBrace, make_skew_brace
 from .cauchy import CauchyReport, SurveyRow
 from .errors import BadInput
 from .groups import FiniteGroup, make_group
@@ -79,20 +79,12 @@ def load_brace(path: str) -> SkewBrace:
     return brace_from_obj(_load_json(path))
 
 
-def load_group(path: str) -> FiniteGroup:
-    return group_from_obj(_load_json(path))
-
-
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise BadInput(f"cannot read JSON from {path}: {exc}") from exc
-
-
-def flags_to_obj(flags: BraceFlags) -> dict[str, bool]:
-    return flags.as_dict()
 
 
 def cauchy_report_to_obj(report: CauchyReport) -> dict[str, Any]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitset import ElementSet, apply_perm, contains, full_mask, mask_of, members, size, sort_key
+from .bitset import ElementSet, apply_perm, contains, full_mask, mask_of, members, size
 from .braces import SkewBrace, assemble, star
 from .errors import NotAnIdeal
 from .groups import center, generated_subgroup, is_normal, is_subgroup, make_group, subgroups
@@ -39,9 +39,9 @@ class QuotientBrace:
 
 
 def subbrace_carriers(B: SkewBrace) -> list[ElementSet]:
-    """Subsets that are subgroups of both operations at once."""
-    common = set(subgroups(B.add)) & set(subgroups(B.mul))
-    return sorted(common, key=sort_key)
+    """Subsets that are subgroups of both operations at once, in the
+    order of `subgroups`."""
+    return [m for m in subgroups(B.add) if is_subgroup(B.mul, m)]
 
 
 def is_trivial_carrier(B: SkewBrace, mask: ElementSet) -> bool:
@@ -94,7 +94,12 @@ def ideals(B: SkewBrace) -> list[ElementSet]:
 
 
 def minimal_ideals(B: SkewBrace) -> list[ElementSet]:
-    nonzero = [m for m in ideals(B) if size(m) > 1]
+    return _minimal(ideals(B))
+
+
+def _minimal(ideal_list: list[ElementSet]) -> list[ElementSet]:
+    """The minimal nonzero ideals among ideal_list, which is ideals(B)."""
+    nonzero = [m for m in ideal_list if size(m) > 1]
     return [
         m
         for m in nonzero
@@ -168,14 +173,23 @@ def is_soluble_brace(B: SkewBrace) -> Optional[list[ElementSet]]:
     quotients, so the first such ideal decides. The first step of any
     witness chain is such an ideal, so finding none decides as well.
     """
+    return _soluble_chain(B, None)
+
+
+def _soluble_chain(
+    B: SkewBrace, ideal_list: Optional[list[ElementSet]]
+) -> Optional[list[ElementSet]]:
+    """is_soluble_brace, given ideals(B) or None; an abelian brace needs
+    no ideals, so None leaves them to be computed only when needed."""
     if B.n == 1:
         return [1]
     full = full_mask(B.n)
     if is_abelian_carrier(B, full):
         return [1, full]
-    all_ideals = ideals(B)
-    minimal = minimal_ideals(B)
-    ordered = minimal + [m for m in all_ideals if size(m) > 1 and m not in minimal]
+    if ideal_list is None:
+        ideal_list = ideals(B)
+    minimal = _minimal(ideal_list)
+    ordered = minimal + [m for m in ideal_list if size(m) > 1 and m not in minimal]
     cand = next((m for m in ordered if is_abelian_carrier(B, m)), None)
     if cand is None:
         return None

@@ -133,6 +133,17 @@ def subgroups_bruteforce(table, inv) -> list[int]:
     return out
 
 
+def generated_subgroup_bruteforce(table, gens) -> int:
+    """Mask of the smallest subset holding 0 and gens that is closed under
+    all products, grown by whole passes over pairs."""
+    seen = {0, *gens}
+    while True:
+        grown = seen | {table[a][b] for a in seen for b in seen}
+        if grown == seen:
+            return sum(1 << i for i in seen)
+        seen = grown
+
+
 def prime_subbraces_bruteforce(B, p: int) -> list[int]:
     """Masks of p-element subsets that are subgroups of both operations."""
     n = B.n

@@ -3,10 +3,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-from sbk.braces import from_group
-from sbk.cli import main
-from sbk.groups import cyclic_group, dihedral_group
+from sbk.braces import from_group, opposite
+from sbk.cli import _analysis_obj, main
+from sbk.enumeration import all_skew_braces
+from sbk.groups import cyclic_group, dihedral_group, direct_product
 from sbk.serialize import brace_to_obj, canonical_dumps
+from sbk.substructure import (
+    ideals,
+    is_simple,
+    is_soluble_brace,
+    minimal_ideals,
+    subbrace_carriers,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -65,6 +73,29 @@ def test_analyze_json(tmp_path, capsys):
     assert obj["soluble"] is True
     assert len(obj["ideals"]) == 3
     assert obj["ker_lambda"] == 1
+
+
+def test_analysis_fields_equal_the_standalone_calls():
+    for n in range(1, 9):
+        for C in all_skew_braces(n).entries:
+            for B in (C, opposite(C)):
+                obj = _analysis_obj(B)
+                assert obj["subbraces"] == subbrace_carriers(B)
+                assert obj["ideals"] == ideals(B)
+                assert obj["minimal_ideals"] == minimal_ideals(B)
+                assert obj["simple"] == is_simple(B)
+                assert obj["solubility_chain"] == is_soluble_brace(B)
+
+
+def test_analyze_json_trivial_brace_on_c2_5(tmp_path, capsys):
+    G = cyclic_group(2)
+    for _ in range(4):
+        G = direct_product(G, cyclic_group(2))
+    path = write_brace(tmp_path, from_group(G, "trivial"))
+    assert main(["analyze", path, "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert len(obj["subbraces"]) == 374
+    assert len(obj["ideals"]) == 374
 
 
 def test_cauchy_command(tmp_path, capsys):

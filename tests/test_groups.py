@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sbk.bitset import full_mask, mask_of, members, size
@@ -18,6 +20,7 @@ from sbk.groups import (
     dihedral_group,
     direct_product,
     element_order,
+    generated_subgroup,
     group_properties,
     is_automorphism,
     is_isomorphic,
@@ -136,11 +139,41 @@ def test_subgroups_klein():
     assert len(subgroups(G)) == 5
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_subgroups_match_bruteforce(n):
+    rng = random.Random(n)
     for G in _groups_of(n):
-        expected = sorted(oracles.subgroups_bruteforce(G.table, list(G.inv)))
-        assert sorted(subgroups(G)) == expected
+        relabeled = []
+        for _ in range(3):
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            relabeled.append(make_group(oracles.relabel(G.table, sigma)))
+        for H in [G, *relabeled]:
+            expected = sorted(oracles.subgroups_bruteforce(H.table, list(H.inv)))
+            assert sorted(subgroups(H)) == expected
+
+
+def _c2_power(k):
+    G = cyclic_group(2)
+    for _ in range(k - 1):
+        G = direct_product(G, cyclic_group(2))
+    return G
+
+
+def test_generated_subgroup_matches_bruteforce_closure():
+    rng = random.Random(5)
+    groups = [G for n in range(1, 13) for G in _groups_of(n)] + [_c2_power(5)]
+    for G in groups:
+        for _ in range(25):
+            # duplicates and the identity are allowed among the generators
+            gens = [rng.randrange(G.n) for _ in range(rng.randint(0, 4))]
+            assert generated_subgroup(G, gens) == oracles.generated_subgroup_bruteforce(
+                G.table, gens
+            ), (G, gens)
+
+
+def test_subgroups_of_c2_5():
+    assert len(subgroups(_c2_power(5))) == 374
 
 
 def _groups_of(n):

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from sbk.bitset import contains, full_mask, mask_of, members, size
+from sbk.bitset import contains, full_mask, mask_of, members, size, sort_key
 from sbk.braces import classify, from_group, opposite, star
 from sbk.enumeration import all_skew_braces
 from sbk.errors import NotAnIdeal
@@ -54,6 +54,13 @@ def test_subbrace_carriers_match_double_closure():
                 & set(oracles.subgroups_bruteforce(B.mul.table, list(B.mul.inv)))
             )
             assert sorted(s.carrier for s in subbraces(B)) == expected
+
+
+def test_subbrace_carriers_equal_the_intersection_of_both_lattices():
+    for n in range(1, 13):
+        for B in all_skew_braces(n).entries:
+            expected = sorted(set(subgroups(B.add)) & set(subgroups(B.mul)), key=sort_key)
+            assert subbrace_carriers(B) == expected
 
 
 def test_trivial_extremes_are_ideals():
