@@ -27,11 +27,11 @@ from .enumeration import _resolve_cap, all_skew_braces
 from .errors import BadInput, SkewBraceKitError, UnsupportedOrder
 from .groups import prime_divisors
 from .substructure import (
+    _ideals_among,
     _minimal,
     _soluble_chain,
     brace_centers,
     brace_square,
-    is_ideal,
     ker_lambda,
     subbrace_carriers,
 )
@@ -118,7 +118,7 @@ def _analysis_obj(B) -> dict[str, Any]:
     flags = classify(B)
     centers = brace_centers(B)
     carriers = subbrace_carriers(B)
-    ideal_list = [m for m in carriers if is_ideal(B, m)]
+    ideal_list = _ideals_among(B, carriers)
     chain = _soluble_chain(B, ideal_list)
     bopp = opposite(B)
     return {

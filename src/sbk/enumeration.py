@@ -6,14 +6,18 @@ x -> g + alpha(x) with alpha an automorphism. A regular subgroup contains
 exactly one element per shift g, so the search assigns an automorphism to
 every shift and propagates the closure constraint
 alpha_{a + alpha_a(b)} = alpha_a o alpha_b; complete assignments are
-exactly the regular subgroups. Two regular subgroups conjugate under an
-automorphism of G give isomorphic braces, so orbit representatives are
-kept and then certified pairwise non-isomorphic by an explicit search.
+exactly the regular subgroups. Products of automorphisms are composed as
+the search meets them, so no |Aut| x |Aut| table is built. Two regular
+subgroups conjugate under an automorphism of G give isomorphic braces, so
+the least assignment of each orbit is kept, the orbits found by
+breadth-first search over a few generators of Aut(G), and the
+representatives are then certified pairwise non-isomorphic by an explicit
+search. Through order 8 the blocks are ordered by a canonical table of the
+multiplicative group, its least relabeling, found by branch and bound.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -102,23 +106,35 @@ def groups_of_order(n: int) -> list[FiniteGroup]:
     raise UnsupportedOrder(n, GROUP_ORDER_CAP)  # pragma: no cover
 
 
-def _aut_products(auts: Sequence[Perm]) -> list[list[int]]:
-    """Product table of the automorphisms: amul[i][j] indexes auts[i] o auts[j]."""
-    n = len(auts[0])
-    aut_idx = {p: i for i, p in enumerate(auts)}
-    return [
-        [aut_idx[tuple(p[q[x]] for x in range(n))] for q in auts] for p in auts
-    ]
+class _Products(dict):
+    """auts[i] o auts[j] as an index, under the key i * len(auts) + j.
+
+    A product is composed the first time it is looked up and kept for the
+    rest of one search, so no |Aut| x |Aut| table is built.
+    """
+
+    def __init__(self, auts: Sequence[Perm]) -> None:
+        super().__init__()
+        self.auts = auts
+        self.index = {p: i for i, p in enumerate(auts)}
+
+    def __missing__(self, key: int) -> int:
+        i, j = divmod(key, len(self.auts))
+        p = self.auts[i]
+        r = self[key] = self.index[tuple(p[x] for x in self.auts[j])]
+        return r
 
 
 def _regular_assignments(
-    G: FiniteGroup, auts: Sequence[Perm], amul: Sequence[Sequence[int]]
+    G: FiniteGroup, auts: Sequence[Perm]
 ) -> list[tuple[int, ...]]:
     """All maps shift -> automorphism index whose graph is a regular
     subgroup of Hol(G), in lexicographic search order."""
     n = G.n
+    k = len(auts)
     add = G.table
-    id_idx = auts.index(tuple(range(n)))
+    amul = _Products(auts)
+    id_idx = amul.index[tuple(range(n))]
 
     # Every non-identity element of a regular subgroup moves every point,
     # so each shift only admits automorphisms giving a fixed-point-free map.
@@ -144,7 +160,7 @@ def _regular_assignments(
             row_a = add[a]
             for b in [x for x in range(n) if assign[x] >= 0]:
                 c = row_a[pa[b]]
-                req = amul[assign[a]][assign[b]]
+                req = amul[assign[a] * k + assign[b]]
                 cur = assign[c]
                 if cur >= 0:
                     if cur != req:
@@ -158,7 +174,7 @@ def _regular_assignments(
                     continue
                 pb = auts[assign[b]]
                 c2 = add[b][pb[a]]
-                req2 = amul[assign[b]][assign[a]]
+                req2 = amul[assign[b] * k + assign[a]]
                 cur2 = assign[c2]
                 if cur2 >= 0:
                     if cur2 != req2:
@@ -234,68 +250,141 @@ def are_isomorphic_braces(B1: SkewBrace, B2: SkewBrace) -> Optional[Perm]:
 
 def canonical_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least relabeling of the table over all
-    permutations fixing 0. Exponential in n; intended for n <= 8."""
+    permutations fixing 0.
+
+    A branch and bound on the first row that a relabeling can change: row
+    1 when row 0 is the identity, as in a group table, else row 0. That row
+    is filled cell by cell. A cell whose column has no preimage yet
+    branches over the elements not yet labeled; a value not yet labeled
+    takes the smallest free label, as any other makes the row larger
+    there. A branch is cut as soon as its row is larger than the best one
+    found. A complete row labels every element, so the later rows are then
+    compared with the best table, with an early exit.
+    """
     n = len(table)
+    rows = [tuple(r) for r in table]
+    top = 1 if rows[0] == tuple(range(n)) else 0
+    if top == n:
+        return tuple(rows)
     best: Optional[tuple[tuple[int, ...], ...]] = None
-    for tail in itertools.permutations(range(1, n)):
-        sigma = (0,) + tail
-        inv = [0] * n
-        for i, s in enumerate(sigma):
-            inv[s] = i
-        rows: list[tuple[int, ...]] = []
-        verdict = 0
-        for i in range(n):
-            src = table[inv[i]]
-            row = tuple(sigma[src[inv[j]]] for j in range(n))
-            if best is not None and verdict == 0:
-                ref = best[i]
-                if row > ref:
-                    verdict = 1
-                    break
-                if row < ref:
-                    verdict = -1
-            rows.append(row)
-        if verdict == 1:
-            continue
-        cand = tuple(rows)
-        if best is None or cand < best:
-            best = cand
+
+    def search(
+        j: int, label: list[int], elem: list[int], free: int, first: list[int]
+    ) -> None:
+        # label: element -> label, elem: label -> element, -1 where unset.
+        # Labels are handed out in increasing order, so a row or column
+        # without a preimage always asks for the next free label.
+        nonlocal best
+        while j < n:
+            need = top if elem[top] < 0 else j
+            if elem[need] < 0:
+                for x in range(n):
+                    if label[x] < 0:
+                        label2 = label.copy()
+                        elem2 = elem.copy()
+                        label2[x] = free
+                        elem2[free] = x
+                        search(j, label2, elem2, free + 1, first.copy())
+                return
+            v = rows[elem[top]][elem[j]]
+            if label[v] < 0:
+                label[v] = free
+                elem[free] = v
+                free += 1
+            first.append(label[v])
+            j += 1
+            if best is not None and first > list(best[top][:j]):
+                return
+        head = tuple(first)
+        # tie: the best table while this one equals it so far, else None
+        tie = best if best is not None and head == best[top] else None
+        out = rows[:top] + [head]
+        for i in range(top + 1, n):
+            src = rows[elem[i]]
+            row = tuple(label[src[elem[c]]] for c in range(n))
+            if tie is not None:
+                if row > tie[i]:
+                    return
+                if row < tie[i]:
+                    tie = None
+            out.append(row)
+        if tie is None:
+            best = tuple(out)
+
+    label = [-1] * n
+    elem = [-1] * n
+    label[0] = elem[0] = 0
+    search(0, label, elem, 1, [])
     assert best is not None
     return best
 
 
-def _conjugate_assignment(
-    assign: Sequence[int],
-    f: int,
-    auts: Sequence[Perm],
-    amul: Sequence[Sequence[int]],
-    ainv: Sequence[int],
-) -> tuple[int, ...]:
-    phi = auts[f]
-    out = [0] * len(assign)
-    for a, alpha in enumerate(assign):
-        out[phi[a]] = amul[f][amul[alpha][ainv[f]]]
-    return tuple(out)
-
-
 def _orbit_representatives(
-    assignments: Sequence[tuple[int, ...]],
-    auts: Sequence[Perm],
-    amul: Sequence[Sequence[int]],
+    assignments: Sequence[tuple[int, ...]], auts: Sequence[Perm]
 ) -> list[tuple[int, ...]]:
-    k = len(auts)
-    id_idx = auts.index(tuple(range(len(auts[0]))))
-    ainv = [row.index(id_idx) for row in amul]
-    reps = sorted(
-        {
-            min(
-                _conjugate_assignment(a, f, auts, amul, ainv)
-                for f in range(k)
-            )
-            for a in assignments
-        }
-    )
-    return reps
+    """The least assignment of each Aut(G)-orbit that meets assignments,
+    sorted.
+
+    f in Aut(G) sends an assignment a -> alpha_a to f(a) -> f o alpha_a o
+    f^-1. The orbits are found by breadth-first search over a few
+    generators of Aut(G), each acting through one conjugation table on
+    automorphism indices (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005, section 4.1). Regular assignments map to regular
+    assignments, so every orbit stays inside the set searched.
+    """
+    products = _Products(auts)
+    actions = []
+    for f in _generators(products):
+        phi = auts[f]
+        inv = [0] * len(phi)
+        for x, y in enumerate(phi):
+            inv[y] = x
+        conj = [products.index[tuple(phi[p[x]] for x in inv)] for p in auts]
+        actions.append((phi, conj))
+
+    seen: set[tuple[int, ...]] = set()
+    reps: list[tuple[int, ...]] = []
+    for start in assignments:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for assign in orbit:
+            for phi, conj in actions:
+                out = [0] * len(assign)
+                for a, alpha in enumerate(assign):
+                    out[phi[a]] = conj[alpha]
+                image = tuple(out)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        reps.append(min(orbit))
+    return sorted(reps)
+
+
+def _generators(products: _Products) -> list[int]:
+    """Indices of a few automorphisms generating all of them, chosen
+    greedily in order: one is kept only if the group generated so far
+    lacks it."""
+    k = len(products.auts)
+    ident = products.index[tuple(range(len(products.auts[0])))]
+    gens: list[int] = []
+    group = {ident}
+    for f in range(k):
+        if len(group) == k:
+            break
+        if f in group:
+            continue
+        gens.append(f)
+        group = {ident}
+        frontier = [ident]
+        for e in frontier:
+            for g in gens:
+                c = products[e * k + g]
+                if c not in group:
+                    group.add(c)
+                    frontier.append(c)
+    return gens
 
 
 def _resolve_cap(cap: Optional[int]) -> int:
@@ -334,9 +423,8 @@ def _catalog(n: int) -> BraceCatalog:
     provenance: list[int] = []
     for gi, G in enumerate(groups):
         auts = automorphism_group(G)
-        amul = _aut_products(auts)
-        assignments = _regular_assignments(G, auts, amul)
-        reps = _orbit_representatives(assignments, auts, amul)
+        assignments = _regular_assignments(G, auts)
+        reps = _orbit_representatives(assignments, auts)
         # conjugacy already separates classes; certify it by explicit search
         kept: list[SkewBrace] = []
         for b in (_brace_from_assignment(G, auts, assign) for assign in reps):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitset import ElementSet, apply_perm, contains, full_mask, mask_of, members, size
+from .bitset import ElementSet, contains, full_mask, mask_of, members, size
 from .braces import SkewBrace, assemble, star
 from .errors import NotAnIdeal
 from .groups import center, generated_subgroup, is_normal, is_subgroup, make_group, subgroups
@@ -60,12 +60,14 @@ def is_abelian_carrier(B: SkewBrace, mask: ElementSet) -> bool:
 
 
 def subbraces(B: SkewBrace) -> list[Subbrace]:
+    carriers = subbrace_carriers(B)
+    ideal_set = set(_ideals_among(B, carriers))
     out = []
-    for mask in subbrace_carriers(B):
+    for mask in carriers:
         out.append(
             Subbrace(
                 carrier=mask,
-                is_ideal=is_ideal(B, mask),
+                is_ideal=mask in ideal_set,
                 is_trivial_sub=is_trivial_carrier(B, mask),
                 is_abelian_sub=is_abelian_carrier(B, mask),
             )
@@ -74,7 +76,10 @@ def subbraces(B: SkewBrace) -> list[Subbrace]:
 
 
 def is_lambda_invariant(B: SkewBrace, mask: ElementSet) -> bool:
-    return all(apply_perm(B.lam[a], mask) == mask for a in range(B.n))
+    # each lambda map is a bijection, so mapping the set into itself is
+    # mapping it onto itself
+    ms = members(mask)
+    return all(mask >> lam[x] & 1 for lam in B.lam for x in ms)
 
 
 def is_ideal(B: SkewBrace, mask: ElementSet) -> bool:
@@ -89,8 +94,18 @@ def is_ideal(B: SkewBrace, mask: ElementSet) -> bool:
     return is_normal(B.add, mask) and is_normal(B.mul, mask)
 
 
+def _ideals_among(B: SkewBrace, carriers: list[ElementSet]) -> list[ElementSet]:
+    """The ideals among subbrace carriers: is_ideal without the subgroup
+    tests, which the carriers already pass."""
+    return [
+        m
+        for m in carriers
+        if is_lambda_invariant(B, m) and is_normal(B.add, m) and is_normal(B.mul, m)
+    ]
+
+
 def ideals(B: SkewBrace) -> list[ElementSet]:
-    return [m for m in subbrace_carriers(B) if is_ideal(B, m)]
+    return _ideals_among(B, subbrace_carriers(B))
 
 
 def minimal_ideals(B: SkewBrace) -> list[ElementSet]:

@@ -319,6 +319,32 @@ def automorphisms_bruteforce(G) -> list[tuple[int, ...]]:
     return out
 
 
+def conjugate_assignment(assign, f, auts, index) -> tuple[int, ...]:
+    """f . assign: shift f(a) gets f o alpha_a o f^-1, composed directly;
+    index maps each automorphism to its position in auts."""
+    n = len(f)
+    f_inv = [0] * n
+    for x, y in enumerate(f):
+        f_inv[y] = x
+    out = [0] * len(assign)
+    for a, alpha in enumerate(assign):
+        p = auts[alpha]
+        out[f[a]] = index[tuple(f[p[f_inv[y]]] for y in range(n))]
+    return tuple(out)
+
+
+def orbit_minima_bruteforce(assignments, auts) -> list[tuple[int, ...]]:
+    """The least conjugate of each assignment over all of Aut(G), sorted
+    and without repeats."""
+    index = {p: i for i, p in enumerate(auts)}
+    return sorted(
+        {
+            min(conjugate_assignment(a, f, auts, index) for f in auts)
+            for a in assignments
+        }
+    )
+
+
 def sylow_count_nilpotency(G) -> bool:
     """Nilpotency by the unique-Sylow criterion, for cross-checking the
     central series computation."""

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from sbk.braces import classify, from_group
 from sbk.enumeration import (
-    _aut_products,
     _brace_from_assignment,
+    _orbit_representatives,
     _regular_assignments,
     all_skew_braces,
     are_isomorphic_braces,
@@ -55,7 +57,7 @@ def regular_braces(G):
     auts = automorphism_group(G)
     return [
         _brace_from_assignment(G, auts, assign)
-        for assign in _regular_assignments(G, auts, _aut_products(auts))
+        for assign in _regular_assignments(G, auts)
     ]
 
 
@@ -63,7 +65,7 @@ def test_regular_subgroups_of_prime_cyclic():
     for p in (3, 5, 7):
         G = cyclic_group(p)
         auts = automorphism_group(G)
-        assignments = _regular_assignments(G, auts, _aut_products(auts))
+        assignments = _regular_assignments(G, auts)
         # the unique regular subgroup is the translations
         assert assignments == [(auts.index(tuple(range(p))),) * p]
         assert regular_braces(G)[0].mul.table == G.table
@@ -223,6 +225,44 @@ def test_canonical_table_is_relabeling_invariant():
         tuple(sigma[table[inv[i]][inv[j]]] for j in range(6)) for i in range(6)
     )
     assert canonical_table(table) == canonical_table(relabeled)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_canonical_table_matches_bruteforce(n):
+    rng = random.Random(n)
+    for G in groups_of_order(n):
+        tables = [G.table]
+        for _ in range(3):
+            sigma = [0] + rng.sample(range(1, n), n - 1)
+            tables.append(oracles.relabel(G.table, sigma))
+        for table in tables:
+            assert canonical_table(table) == oracles.canonical_form(table)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_orbit_representatives_match_bruteforce(n):
+    for G in groups_of_order(n):
+        auts = automorphism_group(G)
+        assignments = _regular_assignments(G, auts)
+        assert _orbit_representatives(
+            assignments, auts
+        ) == oracles.orbit_minima_bruteforce(assignments, auts)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_orbit_count_matches_burnside(n):
+    # number of orbits = mean number of assignments each automorphism fixes
+    for G in groups_of_order(n):
+        auts = automorphism_group(G)
+        index = {p: i for i, p in enumerate(auts)}
+        assignments = _regular_assignments(G, auts)
+        fixed = sum(
+            oracles.conjugate_assignment(a, f, auts, index) == a
+            for f in auts
+            for a in assignments
+        )
+        assert fixed % len(auts) == 0
+        assert fixed // len(auts) == len(_orbit_representatives(assignments, auts))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

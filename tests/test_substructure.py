@@ -6,8 +6,15 @@ from sbk.bitset import contains, full_mask, mask_of, members, size, sort_key
 from sbk.braces import classify, from_group, opposite, star
 from sbk.enumeration import all_skew_braces
 from sbk.errors import NotAnIdeal
-from sbk.groups import cyclic_group, dihedral_group, generated_subgroup, subgroups
+from sbk.groups import (
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    generated_subgroup,
+    subgroups,
+)
 from sbk.substructure import (
+    _ideals_among,
     brace_centers,
     brace_square,
     ideals,
@@ -398,3 +405,15 @@ def test_ideals_of_opposite_coincide():
     for n in range(1, 9):
         for B in all_skew_braces(n).entries:
             assert ideals(B) == ideals(opposite(B))
+
+
+def test_ideal_filter_on_carriers_matches_is_ideal():
+    c2 = cyclic_group(2)
+    c2_5 = c2
+    for _ in range(4):
+        c2_5 = direct_product(c2_5, c2)
+    braces = [B for n in range(1, 13) for B in all_skew_braces(n).entries]
+    braces.append(from_group(c2_5, "trivial"))
+    for B in braces:
+        carriers = subbrace_carriers(B)
+        assert _ideals_among(B, carriers) == [m for m in carriers if is_ideal(B, m)]
