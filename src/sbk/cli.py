@@ -97,15 +97,15 @@ def _print(text: str) -> None:
     sys.stdout.write(text)
 
 
-def _flags_lines(flags) -> list[str]:
-    return [f"  {k}: {'yes' if v else 'no'}" for k, v in flags.as_dict().items()]
+def _flags_lines(flags: dict[str, bool]) -> list[str]:
+    return [f"  {k}: {'yes' if v else 'no'}" for k, v in flags.items()]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     B = serialize.load_brace(args.path)
-    flags = classify(B)
+    flags = classify(B).as_dict()
     if args.json:
-        _print(serialize.canonical_dumps({"order": B.n, "flags": flags.as_dict()}))
+        _print(serialize.canonical_dumps({"order": B.n, "flags": flags}))
     else:
         _print(f"valid skew brace of order {B.n}\n")
         _print("\n".join(_flags_lines(flags)) + "\n")
@@ -148,7 +148,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _print(serialize.canonical_dumps(obj))
         return EXIT_OK
     _print(f"skew brace of order {B.n}\n")
-    _print("\n".join(_flags_lines(classify(B))) + "\n")
+    _print("\n".join(_flags_lines(obj["flags"])) + "\n")
     _print(f"subbraces: {[members(m) for m in obj['subbraces']]}\n")
     _print(f"ideals: {[members(m) for m in obj['ideals']]}\n")
     _print(f"minimal ideals: {[members(m) for m in obj['minimal_ideals']]}\n")

@@ -416,27 +416,17 @@ def table_isomorphisms(
                             queue.append(c)
         return True
 
-    def verify(fwd: list[int]) -> bool:
-        for ts, td in zip(src_tables, dst_tables):
-            for a in range(n):
-                fa = fwd[a]
-                for b in range(n):
-                    if fwd[ts[a][b]] != td[fa][fwd[b]]:
-                        return False
-        return True
-
+    # propagate checks every pair of mapped elements in both orders, so the
+    # mapped set is closed and is the closure of the generators placed so
+    # far. gens[level] lies outside it, and at the last level it is
+    # everything: a complete map is an isomorphism with nothing to verify.
     def search(level: int, fwd: list[int], used: list[bool]) -> bool:
         if level == len(gens):
-            if all(x >= 0 for x in fwd) and verify(fwd):
-                results.append(tuple(fwd))
-                return not find_all
-            return False
+            results.append(tuple(fwd))
+            return not find_all
         g = gens[level]
         for img in candidates[level]:
-            if used[img] or fwd[g] >= 0:
-                if fwd[g] == img:
-                    if search(level + 1, fwd, used):
-                        return True
+            if used[img]:
                 continue
             fwd2 = fwd.copy()
             used2 = used.copy()

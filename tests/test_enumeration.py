@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sbk.braces import classify, from_group
+from sbk.braces import classify, from_group, make_skew_brace
 from sbk.enumeration import (
     _brace_from_assignment,
     _orbit_representatives,
@@ -118,23 +118,21 @@ def test_trivial_vs_almost_trivial_on_sym3():
 
 
 def test_are_isomorphic_braces_witness_preserves_both_tables():
-    entries = all_skew_braces(6).entries
-    # relabel a brace by a nontrivial bijection fixing 0 and check the
-    # search finds an isomorphism back
-    B = entries[2]
-    sigma = (0, 2, 1, 4, 3, 5)
-    inv = [sigma.index(i) for i in range(6)]
-    add = [[sigma[B.add.table[inv[i]][inv[j]]] for j in range(6)] for i in range(6)]
-    mul = [[sigma[B.mul.table[inv[i]][inv[j]]] for j in range(6)] for i in range(6)]
-    from sbk.braces import make_skew_brace
-
-    B2 = make_skew_brace(add, mul)
-    f = are_isomorphic_braces(B, B2)
-    assert f is not None
-    for a in range(6):
-        for b in range(6):
-            assert f[B.add.table[a][b]] == B2.add.table[f[a]][f[b]]
-            assert f[B.mul.table[a][b]] == B2.mul.table[f[a]][f[b]]
+    # a seeded relabeling of every catalog brace through order 12, loaded
+    # from its tables, is found isomorphic by a map respecting both tables
+    rng = random.Random(12)
+    for n in range(1, 13):
+        for B in all_skew_braces(n).entries:
+            sigma = [0] + rng.sample(range(1, n), n - 1)
+            B2 = make_skew_brace(
+                oracles.relabel(B.add.table, sigma), oracles.relabel(B.mul.table, sigma)
+            )
+            f = are_isomorphic_braces(B, B2)
+            assert f is not None
+            for a in range(n):
+                for b in range(n):
+                    assert f[B.add.table[a][b]] == B2.add.table[f[a]][f[b]]
+                    assert f[B.mul.table[a][b]] == B2.mul.table[f[a]][f[b]]
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 1), (4, 4), (5, 1), (6, 6)])
@@ -160,24 +158,26 @@ def test_prime_order_catalog_is_single_brace(p):
     assert all_skew_braces(p).count == 1
 
 
-def test_catalog_entries_are_validated_braces():
-    # assemble() re-raises on any violation, so building a parallel brace
-    # from the stored tables is a full re-validation
-    from sbk.braces import make_skew_brace
-
-    for B in all_skew_braces(8).entries:
+@pytest.mark.parametrize("n", range(1, 16))
+def test_catalog_entries_are_validated_braces(n):
+    # the catalog builds its braces without checks; make_skew_brace checks
+    # both group laws and the compatibility law on the stored tables
+    for B in all_skew_braces(n, cap=15).entries:
         rebuilt = make_skew_brace(
             [list(r) for r in B.add.table], [list(r) for r in B.mul.table]
         )
+        assert rebuilt == B
         assert rebuilt.lam == B.lam
 
 
-def test_catalog_dedup_soundness():
-    for n in (6, 8):
-        entries = all_skew_braces(n).entries
-        for i, B1 in enumerate(entries):
-            for B2 in entries[i + 1 :]:
-                assert are_isomorphic_braces(B1, B2) is None
+@pytest.mark.parametrize("n", range(1, 16))
+def test_catalog_dedup_soundness(n):
+    # the orbits are the isomorphism classes (Guarnieri and Vendramin,
+    # Math. Comp. 86 (2017), section 4); an explicit search confirms it
+    entries = all_skew_braces(n, cap=15).entries
+    for i, B1 in enumerate(entries):
+        for B2 in entries[i + 1 :]:
+            assert are_isomorphic_braces(B1, B2) is None
 
 
 def test_catalog_contains_trivial_and_almost_trivial_for_every_group():

@@ -250,12 +250,17 @@ def test_automorphism_group_counts():
     assert len(automorphism_group(klein)) == 6
     assert len(automorphism_group(cyclic_group(5))) == 4
     assert len(automorphism_group(trivial_group())) == 1
+    # |GL(4, 2)|
+    assert len(set(automorphism_group(_c2_power(4)))) == 20160
 
 
-@pytest.mark.parametrize("make", [lambda: cyclic_group(6), lambda: dihedral_group(6)])
-def test_automorphism_group_matches_bruteforce(make):
-    G = make()
-    assert sorted(automorphism_group(G)) == sorted(oracles.automorphisms_bruteforce(G))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_automorphism_group_matches_bruteforce(n):
+    rng = random.Random(n)
+    for G in _groups_of(n):
+        sigma = [0] + rng.sample(range(1, n), n - 1)
+        for H in (G, make_group(oracles.relabel(G.table, sigma))):
+            assert automorphism_group(H) == sorted(oracles.automorphisms_bruteforce(H))
 
 
 def test_automorphism_group_is_closed_under_composition():
@@ -270,15 +275,17 @@ def test_automorphism_group_is_closed_under_composition():
 
 
 def test_automorphisms_verify():
-    G = dihedral_group(8)
-    auts = automorphism_group(G)
-    index = set(auts)
-    for p in auts:
-        assert is_automorphism(G, p)
-        inv = [0] * 8
-        for x, y in enumerate(p):
-            inv[y] = x
-        assert tuple(inv) in index
+    for n in range(1, 16):
+        for G in _groups_of(n):
+            auts = automorphism_group(G)
+            index = set(auts)
+            assert len(index) == len(auts)
+            for p in auts:
+                assert is_automorphism(G, p)
+                inv = [0] * n
+                for x, y in enumerate(p):
+                    inv[y] = x
+                assert tuple(inv) in index
 
 
 def test_group_properties_sym3():
