@@ -254,8 +254,14 @@ def test_automorphism_group_counts():
     assert len(set(automorphism_group(_c2_power(4)))) == 20160
 
 
+@pytest.mark.parametrize("make", [lambda: cyclic_group(6), lambda: dihedral_group(6)])
+def test_automorphism_group_matches_bruteforce(make):
+    G = make()
+    assert sorted(automorphism_group(G)) == sorted(oracles.automorphisms_bruteforce(G))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
-def test_automorphism_group_matches_bruteforce(n):
+def test_automorphism_group_matches_bruteforce_by_order(n):
     rng = random.Random(n)
     for G in _groups_of(n):
         sigma = [0] + rng.sample(range(1, n), n - 1)
