@@ -7,8 +7,14 @@ The lambda maps lam[a](b) = -a + a*b are precomputed at construction; each
 is an automorphism of the additive group and a in (B,*) -> lam[a] is a
 group homomorphism. Both facts follow from the compatibility law once both
 tables are groups (Guarnieri and Vendramin, Math. Comp. 86 (2017),
-Prop. 1.9), so checking the law on every triple is all that construction
+Prop. 1.9), so checking the law on every triple is all that validation
 needs.
+
+The group axioms and the law are checked on tables from outside, in
+make_skew_brace and assemble, and in swap, where the law is the bi-skew
+question. Opposite braces, quotients by ideals, from_group braces and
+catalog entries are skew braces by theorem, each cited where it is
+built, so _brace builds them unchecked.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Literal, Optional, Sequence
 
 from .errors import IdentityMismatch, LeftDistributivityFails
-from .groups import FiniteGroup, Perm, find_identity, make_group
+from .groups import FiniteGroup, Perm, _group, find_identity, make_group
 
 
 @dataclass(frozen=True)
@@ -70,10 +76,22 @@ def assemble(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
                 if mrow[at[b][c]] != at[ab_minus_a][mrow[c]]:
                     raise LeftDistributivityFails(a, b, c)
 
-    lam = tuple(
-        tuple(at[ainv[a]][mt[a][b]] for b in range(n)) for a in range(n)
-    )
-    return SkewBrace(n=n, add=add, mul=mul, lam=lam)
+    return _brace(add, mul)
+
+
+def _brace(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
+    """The brace on two groups already known to satisfy the compatibility
+    law. Nothing is checked; lam[a](b) = -a + a*b is computed here and
+    nowhere else."""
+    at = add.table
+    ainv = add.inv
+    lam = tuple(tuple(at[ainv[a]][x] for x in row) for a, row in enumerate(mul.table))
+    return SkewBrace(n=add.n, add=add, mul=mul, lam=lam)
+
+
+def _op(G: FiniteGroup) -> FiniteGroup:
+    """The opposite group, a o b = b * a: the transposed table."""
+    return _group(zip(*G.table), name=G.name + "^op" if G.name else "")
 
 
 def make_skew_brace(
@@ -117,12 +135,9 @@ def star(B: SkewBrace, a: int, b: int) -> int:
 
 def opposite(B: SkewBrace) -> SkewBrace:
     """Same multiplication over the opposite additive group (a + b read
-    as b + a)."""
-    n = B.n
-    t = B.add.table
-    transposed = [[t[j][i] for j in range(n)] for i in range(n)]
-    add = make_group(transposed, name=B.add.name + "^op" if B.add.name else "")
-    return assemble(add, B.mul)
+    as b + a). It is a skew brace whenever B is (Koch and Truman, J.
+    Algebra 546 (2020)), so nothing is checked."""
+    return _brace(_op(B.add), B.mul)
 
 
 def swap(B: SkewBrace) -> Optional[SkewBrace]:
@@ -181,13 +196,10 @@ def classify(B: SkewBrace) -> BraceFlags:
 
 def from_group(G: FiniteGroup, mode: Literal["trivial", "almost_trivial"]) -> SkewBrace:
     """The trivial brace (a*b = a+b) or the almost trivial brace
-    (a*b = b+a) on a group."""
+    (a*b = b+a) on a group. Both satisfy the law for every group, so
+    nothing is checked."""
     if mode == "trivial":
-        return assemble(G, G)
+        return _brace(G, G)
     if mode == "almost_trivial":
-        n = G.n
-        t = G.table
-        mul_table = [[t[b][a] for b in range(n)] for a in range(n)]
-        mul = make_group(mul_table, name=G.name + "^op" if G.name else "")
-        return assemble(G, mul)
+        return _brace(G, _op(G))
     raise ValueError(f"unknown mode {mode!r}")

@@ -25,11 +25,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .braces import SkewBrace
+from .braces import SkewBrace, _brace
 from .errors import BadInput, UnsupportedOrder
 from .groups import (
     FiniteGroup,
     Perm,
+    _group,
     alternating_group_4,
     automorphism_group,
     cyclic_group,
@@ -42,8 +43,7 @@ from .groups import (
 )
 
 DEFAULT_ORDER_CAP = 12
-HARD_ORDER_CAP = 15
-GROUP_ORDER_CAP = 15
+HARD_ORDER_CAP = 15  # the largest order groups_of_order knows
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class BraceCatalog:
 
 def groups_of_order(n: int) -> list[FiniteGroup]:
     """One representative per isomorphism class of groups of order n <= 15."""
-    if not 1 <= n <= GROUP_ORDER_CAP:
-        raise UnsupportedOrder(n, GROUP_ORDER_CAP)
+    if not 1 <= n <= HARD_ORDER_CAP:
+        raise UnsupportedOrder(n, HARD_ORDER_CAP)
     if n == 1:
         return [trivial_group()]
     if n in (2, 3, 5, 7, 11, 13):
@@ -103,7 +103,7 @@ def groups_of_order(n: int) -> list[FiniteGroup]:
         return [cyclic_group(14), dihedral_group(14)]
     if n == 15:
         return [cyclic_group(15)]
-    raise UnsupportedOrder(n, GROUP_ORDER_CAP)  # pragma: no cover
+    raise UnsupportedOrder(n, HARD_ORDER_CAP)  # pragma: no cover
 
 
 class _Products(dict):
@@ -372,14 +372,10 @@ def _brace_from_assignment(
     """The brace with a * b = a + alpha_a(b), alpha_a = auts[assign[a]].
 
     A regular assignment is a regular subgroup of Hol(G), so both laws hold
-    by construction and nothing is checked. lambda_a(b) = -a + (a +
-    alpha_a(b)) = alpha_a(b).
+    by construction and nothing is checked; lambda_a is alpha_a.
     """
-    add = G.table
-    lam = tuple(auts[i] for i in assign)
-    mul = tuple(tuple(add[a][p[b]] for b in range(G.n)) for a, p in enumerate(lam))
-    inv = tuple(row.index(0) for row in mul)
-    return SkewBrace(n=G.n, add=G, mul=FiniteGroup(n=G.n, table=mul, inv=inv), lam=lam)
+    mul = [[row[x] for x in auts[i]] for row, i in zip(G.table, assign)]
+    return _brace(G, _group(mul))
 
 
 @lru_cache(maxsize=None)

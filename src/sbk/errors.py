@@ -48,12 +48,6 @@ class NotAssociative(SkewBraceKitError):
         self.triple = (i, j, k)
 
 
-class NoInverse(SkewBraceKitError):
-    def __init__(self, x: int):
-        super().__init__(f"element {x} has no two-sided inverse")
-        self.element = x
-
-
 class NotPrime(SkewBraceKitError):
     def __init__(self, p: int):
         super().__init__(f"{p} is not prime")
@@ -96,10 +90,6 @@ class UnsupportedOrder(SkewBraceKitError):
         super().__init__(f"order {n} is outside the supported range 1..{cap}")
         self.n = n
         self.cap = cap
-
-
-class ConstructionFailed(SkewBraceKitError):
-    """Internal consistency check failed; indicates a bug, not bad input."""
 
 
 class BraidRelationFails(SkewBraceKitError):

@@ -16,7 +16,6 @@ from .bitset import ElementSet, contains, full_mask, mask_of, members, size, sor
 from .errors import (
     GroupTooLarge,
     NoIdentity,
-    NoInverse,
     NotAssociative,
     NotLatinSquare,
     NotPrime,
@@ -69,9 +68,9 @@ def find_identity(table: Sequence[Sequence[int]]) -> Optional[int]:
 def make_group(table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
     """Validate a Cayley table and return the group, identity moved to 0.
 
-    Raises NoIdentity, NotLatinSquare, NotAssociative or NoInverse naming
-    the first violation found. A ValueError signals a malformed table
-    (non-square or out-of-range entries).
+    Raises NoIdentity, NotLatinSquare or NotAssociative naming the first
+    violation found; a table passing all three is a group. A ValueError
+    signals a malformed table (non-square or out-of-range entries).
     """
     n = len(table)
     if n == 0:
@@ -112,17 +111,15 @@ def make_group(table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
         rows = [
             tuple(sigma[rows[sigma[i]][sigma[j]]] for j in range(n)) for i in range(n)
         ]
+    return _group(rows, name)
 
-    inv = [-1] * n
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] == 0 and rows[j][i] == 0:
-                inv[i] = j
-                break
-        if inv[i] < 0:
-            raise NoInverse(i)
 
-    return FiniteGroup(n=n, table=tuple(rows), inv=tuple(inv), name=name)
+def _group(rows: Iterable[Iterable[int]], name: str = "") -> FiniteGroup:
+    """The group of a table already known to be a group with identity 0;
+    nothing is checked. A right inverse in a group is two-sided."""
+    table = tuple(tuple(row) for row in rows)
+    inv = tuple(row.index(0) for row in table)
+    return FiniteGroup(n=len(table), table=table, inv=inv, name=name)
 
 
 def element_order(G: FiniteGroup, x: int) -> int:
@@ -469,17 +466,18 @@ def is_automorphism(G: FiniteGroup, perm: Perm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Standard constructions used to seed the catalogs.
+# Standard constructions used to seed the catalogs. Each table is a group
+# with identity 0 by construction, so none is validated.
 # ---------------------------------------------------------------------------
 
 
 def trivial_group() -> FiniteGroup:
-    return make_group([[0]], name="C1")
+    return _group([[0]], name="C1")
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return make_group(table, name=f"C{n}")
+    return _group(table, name=f"C{n}")
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, name: str = "") -> FiniteGroup:
@@ -496,7 +494,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, name: str = "") -> FiniteGrou
                     table[enc(a1, b1)][enc(a2, b2)] = enc(
                         G.table[a1][a2], H.table[b1][b2]
                     )
-    return make_group(table, name=name or f"{G.name}x{H.name}")
+    return _group(table, name=name or f"{G.name}x{H.name}")
 
 
 def dihedral_group(order: int) -> FiniteGroup:
@@ -512,7 +510,7 @@ def dihedral_group(order: int) -> FiniteGroup:
             table[i][m + j] = m + (i + j) % m
             table[m + i][j] = m + (i - j) % m
             table[m + i][m + j] = (i - j) % m
-    return make_group(table, name=f"D{order}")
+    return _group(table, name=f"D{order}")
 
 
 def dicyclic_group(order: int) -> FiniteGroup:
@@ -528,7 +526,7 @@ def dicyclic_group(order: int) -> FiniteGroup:
             table[i][two_m + j] = two_m + (i + j) % two_m
             table[two_m + i][j] = two_m + (i - j) % two_m
             table[two_m + i][two_m + j] = (i - j + m) % two_m
-    return make_group(table, name=f"Q{order}")
+    return _group(table, name=f"Q{order}")
 
 
 def alternating_group_4() -> FiniteGroup:
@@ -541,7 +539,7 @@ def alternating_group_4() -> FiniteGroup:
     table = [
         [index[tuple(p[q[i]] for i in range(4))] for q in perms] for p in perms
     ]
-    return make_group(table, name="A4")
+    return _group(table, name="A4")
 
 
 def _parity(perm: Sequence[int]) -> int:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bitset import ElementSet, contains, full_mask, mask_of, members, size
-from .braces import SkewBrace, assemble, star
+from .braces import SkewBrace, _brace, star
 from .errors import NotAnIdeal
-from .groups import center, generated_subgroup, is_normal, is_subgroup, make_group, subgroups
+from .groups import _group, center, generated_subgroup, is_normal, is_subgroup, subgroups
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,9 @@ def _minimal(ideal_list: list[ElementSet]) -> list[ElementSet]:
 
 def quotient(B: SkewBrace, ideal_mask: ElementSet) -> QuotientBrace:
     """Brace on the cosets of an ideal; representatives are the smallest
-    index of each coset, ordered by representative."""
+    index of each coset, ordered by representative. The quotient by an
+    ideal is a skew brace (Guarnieri and Vendramin, Math. Comp. 86 (2017),
+    section 2), so only the caller's mask is checked."""
     if not is_ideal(B, ideal_mask):
         raise NotAnIdeal(ideal_mask)
     n = B.n
@@ -143,7 +145,7 @@ def quotient(B: SkewBrace, ideal_mask: ElementSet) -> QuotientBrace:
     q_mul = [
         [proj[B.mul.table[reps[i]][reps[j]]] for j in range(m)] for i in range(m)
     ]
-    qb = assemble(make_group(q_add), make_group(q_mul))
+    qb = _brace(_group(q_add), _group(q_mul))
     return QuotientBrace(brace=qb, reps=tuple(reps), projection=tuple(proj))
 
 

@@ -12,7 +12,7 @@ from sbk.braces import (
     star,
     swap,
 )
-from sbk.enumeration import all_skew_braces
+from sbk.enumeration import all_skew_braces, groups_of_order
 from sbk.errors import (
     IdentityMismatch,
     LeftDistributivityFails,
@@ -20,6 +20,8 @@ from sbk.errors import (
     NotLatinSquare,
 )
 from sbk.groups import cyclic_group, dihedral_group, element_order
+
+import oracles
 
 
 def z3_table():
@@ -318,3 +320,29 @@ def test_two_sided_scan_matches_flag():
             for a, b, c in product(range(B.n), repeat=3)
         )
         assert is_two_sided(B) == expected
+
+
+def _assert_validated(B, add_table, mul_table):
+    """B equals the brace make_skew_brace validates from the two tables,
+    and its lambda maps match their definition."""
+    rebuilt = make_skew_brace(add_table, mul_table)
+    assert rebuilt == B
+    assert rebuilt.lam == B.lam
+    assert oracles.lambda_maps_problem(B) is None
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_opposite_passes_validation(n):
+    # opposite builds without checks: the opposite of a skew brace is one
+    # (Koch and Truman, J. Algebra 546 (2020))
+    for B in all_skew_braces(n).entries:
+        transposed = [list(col) for col in zip(*B.add.table)]
+        _assert_validated(opposite(B), transposed, B.mul.table)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_from_group_passes_validation(n):
+    for G in groups_of_order(n):
+        transposed = [list(col) for col in zip(*G.table)]
+        _assert_validated(from_group(G, "trivial"), G.table, G.table)
+        _assert_validated(from_group(G, "almost_trivial"), G.table, transposed)

@@ -10,14 +10,19 @@ note in CHANGES.md saying why.
 
 import hashlib
 
+from sbk.braces import assemble, from_group
 from sbk.cli import main
 from sbk.enumeration import all_skew_braces
+from sbk.groups import cyclic_group, dicyclic_group, dihedral_group, direct_product
 from sbk.serialize import brace_to_obj, canonical_dumps
 
 CATALOG_DIGEST = "83fbb63dcfb4632fc196f99db1d3385536564d7bfbb84581019bc0c16a360a7f"
 SURVEY_DIGEST = "eef066c320389225a212fd0f537cd357b7741292b2e0f66fc4244a23bf5d4da8"
 FILE_COMMANDS_DIGEST = "9f959f945bf974c197d917373d2b9a27ba0086250066c8be497fde0fdf91dc89"
 FILE_COMMANDS_TEXT_DIGEST = "2dc0ba93ad44b612d35da79d8255a5fbd67e37220e823c97121bf377d741cfc0"
+LARGE_ANALYZE_DIGEST = "b7c5ec795df3faec050f2cbc2fafcea8ce41a1e5436c8dfe0cd68c3e95e9b86b"
+
+FILE_COMMANDS = ("verify", "analyze", "cauchy", "ybe")
 
 
 def _run(h, capsys, argv: list[str]) -> None:
@@ -49,25 +54,57 @@ def test_survey_15_digest(capsys, monkeypatch):
     assert h.hexdigest() == SURVEY_DIGEST
 
 
-def _file_commands_digest(tmp_path, capsys, n_max: int, flags: list[str]) -> str:
-    """Digest of verify, analyze, cauchy and ybe on every catalog brace
-    through order n_max, each written to a file first."""
+def _file_commands_digest(tmp_path, capsys, braces, commands, flags: list[str]) -> str:
+    """Digest of the commands on every (name, brace) pair, each brace
+    written to a file first."""
     h = hashlib.sha256()
+    for name, B in braces:
+        path = tmp_path / f"{name}.json"
+        path.write_text(canonical_dumps(brace_to_obj(B)), encoding="utf-8")
+        for cmd in commands:
+            h.update(f"{path.name} ".encode())
+            _run(h, capsys, [cmd, str(path), *flags])
+    return h.hexdigest()
+
+
+def _catalog_through(n_max: int):
     for n in range(1, n_max + 1):
         for i, B in enumerate(all_skew_braces(n).entries):
-            path = tmp_path / f"brace_{n:02d}_{i:03d}.json"
-            path.write_text(canonical_dumps(brace_to_obj(B)), encoding="utf-8")
-            for cmd in ("verify", "analyze", "cauchy", "ybe"):
-                h.update(f"{path.name} ".encode())
-                _run(h, capsys, [cmd, str(path), *flags])
-    return h.hexdigest()
+            yield f"brace_{n:02d}_{i:03d}", B
+
+
+def _large_braces():
+    """Braces of orders 16 to 32, beyond the catalog: the trivial and
+    almost trivial braces on three nonabelian groups of order 16, the
+    trivial brace on C2^5, and two direct products of catalog braces."""
+    c2 = cyclic_group(2)
+    for G in (direct_product(dihedral_group(8), c2), dihedral_group(16), dicyclic_group(16)):
+        for mode in ("trivial", "almost_trivial"):
+            yield f"{G.name}_{mode}", from_group(G, mode)
+    c2_5 = c2
+    for _ in range(4):
+        c2_5 = direct_product(c2_5, c2)
+    yield "C2^5_trivial", from_group(c2_5, "trivial")
+    for (n1, i1), (n2, i2) in (((6, 3), (4, 3)), ((8, 25), (4, 0))):
+        B1 = all_skew_braces(n1).entries[i1]
+        B2 = all_skew_braces(n2).entries[i2]
+        B = assemble(direct_product(B1.add, B2.add), direct_product(B1.mul, B2.mul))
+        yield f"brace_{n1}_{i1}x{n2}_{i2}", B
 
 
 def test_file_commands_digest_through_12(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SBK_MAX_ORDER", "12")
-    assert _file_commands_digest(tmp_path, capsys, 12, ["--json"]) == FILE_COMMANDS_DIGEST
+    digest = _file_commands_digest(tmp_path, capsys, _catalog_through(12), FILE_COMMANDS, ["--json"])
+    assert digest == FILE_COMMANDS_DIGEST
 
 
 def test_file_commands_text_digest_through_8(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SBK_MAX_ORDER", "8")
-    assert _file_commands_digest(tmp_path, capsys, 8, []) == FILE_COMMANDS_TEXT_DIGEST
+    digest = _file_commands_digest(tmp_path, capsys, _catalog_through(8), FILE_COMMANDS, [])
+    assert digest == FILE_COMMANDS_TEXT_DIGEST
+
+
+def test_analyze_digest_orders_16_to_32(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SBK_MAX_ORDER", "12")
+    digest = _file_commands_digest(tmp_path, capsys, _large_braces(), ("analyze",), ["--json"])
+    assert digest == LARGE_ANALYZE_DIGEST

@@ -182,6 +182,27 @@ def _groups_of(n):
     return groups_of_order(n)
 
 
+def _assert_validated(G):
+    rebuilt = make_group(G.table)
+    assert rebuilt.table == G.table
+    assert rebuilt.inv == G.inv
+    assert all(G.table[x][G.inv[x]] == 0 == G.table[G.inv[x]][x] for x in G.elements())
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_standard_groups_pass_validation(n):
+    # the standard constructors build their tables without checks;
+    # make_group checks every group axiom, and the inverses are checked
+    # against their definition
+    for G in _groups_of(n):
+        _assert_validated(G)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_c2_powers_pass_validation(k):
+    _assert_validated(_c2_power(k))
+
+
 def test_sylow_sym3():
     G = dihedral_group(6)
     assert len(sylow_p(G, 3)) == 1

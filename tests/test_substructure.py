@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from sbk.bitset import contains, full_mask, mask_of, members, size, sort_key
-from sbk.braces import classify, from_group, opposite, star
+from sbk.braces import classify, from_group, make_skew_brace, opposite, star
 from sbk.enumeration import all_skew_braces
 from sbk.errors import NotAnIdeal
 from sbk.groups import (
@@ -417,3 +417,17 @@ def test_ideal_filter_on_carriers_matches_is_ideal():
     for B in braces:
         carriers = subbrace_carriers(B)
         assert _ideals_among(B, carriers) == [m for m in carriers if is_ideal(B, m)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_quotients_pass_validation(n):
+    # quotient builds its brace without checks: the quotient of a skew
+    # brace by an ideal is one (Guarnieri and Vendramin, Math. Comp. 86
+    # (2017), section 2); make_skew_brace checks it
+    for B in all_skew_braces(n).entries:
+        for I in ideals(B):
+            Q = quotient(B, I).brace
+            rebuilt = make_skew_brace(Q.add.table, Q.mul.table)
+            assert rebuilt == Q
+            assert rebuilt.lam == Q.lam
+            assert oracles.lambda_maps_problem(Q) is None
