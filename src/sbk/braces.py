@@ -10,16 +10,20 @@ tables are groups (Guarnieri and Vendramin, Math. Comp. 86 (2017),
 Prop. 1.9), so checking the law on every triple is all that validation
 needs.
 
-The group axioms and the law are checked on tables from outside, in
-make_skew_brace and assemble, and in swap, where the law is the bi-skew
-question. Opposite braces, quotients by ideals, from_group braces and
-catalog entries are skew braces by theorem, each cited where it is
-built, so _brace builds them unchecked.
+One loop, _law_violation, decides the law for every caller: assemble
+(and so make_skew_brace) raises on its first bad triple, swap asks it of
+(mul, add), which is the bi-skew property (Childs, New York J. Math. 25
+(2019)), and is_two_sided asks it of the transposed multiplication,
+which is the mirrored law (Koch and Truman, J. Algebra 546 (2020)).
+Only tables from outside and swap are checked: opposite braces,
+quotients by ideals, from_group braces and catalog entries are skew
+braces by theorem, each cited where it is built, so _brace builds them
+unchecked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Literal, Optional, Sequence
 
 from .errors import IdentityMismatch, LeftDistributivityFails
@@ -46,13 +50,8 @@ class BraceFlags:
     bi_skew: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "trivial": self.trivial,
-            "almost_trivial": self.almost_trivial,
-            "abelian": self.abelian,
-            "two_sided": self.two_sided,
-            "bi_skew": self.bi_skew,
-        }
+        """The flags by field name, in field order."""
+        return asdict(self)
 
 
 def assemble(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
@@ -61,22 +60,31 @@ def assemble(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
     Checks the compatibility law on every triple, then builds the lambda
     cache. Raises LeftDistributivityFails at the first bad triple.
     """
-    n = add.n
-    if mul.n != n:
+    if mul.n != add.n:
         raise ValueError(f"group orders differ: {add.n} vs {mul.n}")
+    bad = _law_violation(add, mul.table)
+    if bad is not None:
+        raise LeftDistributivityFails(*bad)
+    return _brace(add, mul)
+
+
+def _law_violation(
+    add: FiniteGroup, mul_table: Sequence[Sequence[int]]
+) -> Optional[tuple[int, int, int]]:
+    """The first triple (a, b, c) with a * (b + c) != (a * b) - a + (a * c),
+    or None when the law holds on every triple."""
+    n = add.n
     at = add.table
-    mt = mul.table
     ainv = add.inv
     for a in range(n):
         neg_a = ainv[a]
-        mrow = mt[a]
+        mrow = mul_table[a]
         for b in range(n):
             ab_minus_a = at[mrow[b]][neg_a]
             for c in range(n):
                 if mrow[at[b][c]] != at[ab_minus_a][mrow[c]]:
-                    raise LeftDistributivityFails(a, b, c)
-
-    return _brace(add, mul)
+                    return (a, b, c)
+    return None
 
 
 def _brace(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
@@ -143,10 +151,9 @@ def opposite(B: SkewBrace) -> SkewBrace:
 def swap(B: SkewBrace) -> Optional[SkewBrace]:
     """The structure with the two operations exchanged, when it is again a
     skew brace; None otherwise. Success is exactly the bi-skew property."""
-    try:
-        return assemble(B.mul, B.add)
-    except LeftDistributivityFails:
+    if _law_violation(B.mul, B.add.table) is not None:
         return None
+    return _brace(B.mul, B.add)
 
 
 def is_trivial(B: SkewBrace) -> bool:
@@ -161,34 +168,19 @@ def is_almost_trivial(B: SkewBrace) -> bool:
 
 
 def is_two_sided(B: SkewBrace) -> bool:
-    """Whether the mirrored law (b + c)*a = b*a - a + c*a also holds."""
-    n = B.n
-    at = B.add.table
-    mt = B.mul.table
-    ainv = B.add.inv
-    for a in range(n):
-        neg_a = ainv[a]
-        col = [mt[x][a] for x in range(n)]
-        for b in range(n):
-            ba_minus_a = at[col[b]][neg_a]
-            for c in range(n):
-                if col[at[b][c]] != at[ba_minus_a][col[c]]:
-                    return False
-    return True
+    """Whether the mirrored law (b + c)*a = b*a - a + c*a also holds: the
+    left law for the opposite multiplication, the transposed table."""
+    return _law_violation(B.add, tuple(zip(*B.mul.table))) is None
 
 
 def classify(B: SkewBrace) -> BraceFlags:
     trivial = is_trivial(B)
     almost = is_almost_trivial(B)
-    add_abelian = all(
-        B.add.table[a][b] == B.add.table[b][a]
-        for a in range(B.n)
-        for b in range(B.n)
-    )
+    # a trivial brace is almost trivial exactly when its group is abelian
     return BraceFlags(
         trivial=trivial,
         almost_trivial=almost,
-        abelian=trivial and add_abelian,
+        abelian=trivial and almost,
         two_sided=is_two_sided(B),
         bi_skew=swap(B) is not None,
     )

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 from typing import Optional
 
-from .bitset import ElementSet, apply_perm, contains, members
+from .bitset import ElementSet, apply_perm
 from .braces import BraceFlags, SkewBrace, classify
 from .enumeration import all_skew_braces
 from .errors import NotPrime, PrimeDoesNotDivideOrder
-from .groups import _is_prime, element_order, generated_subgroup, prime_divisors, sylow_p
+from .groups import _is_prime, element_order, generated_subgroup, is_subgroup
+from .groups import prime_divisors, sylow_p
 
 STRATEGY_FIXED_POINT = "lambda_fixed_point"
 STRATEGY_BRUTE_FORCE = "brute_force"
@@ -47,12 +48,6 @@ class SurveyRow:
     all_primes_witnessed: bool
 
 
-def _is_mul_closed(B: SkewBrace, mask: ElementSet) -> bool:
-    ms = members(mask)
-    mt = B.mul.table
-    return all(contains(mask, mt[x][y]) for x in ms for y in ms)
-
-
 def find_subbrace_of_order(B: SkewBrace, p: int) -> Optional[ElementSet]:
     """Smallest-generator subbrace of order p, or None if none exists.
 
@@ -78,7 +73,7 @@ def find_subbrace_with_strategy(
         cyc = generated_subgroup(B.add, [x])
         if B.lam[x][x] == x:
             return cyc, STRATEGY_FIXED_POINT
-        if _is_mul_closed(B, cyc):
+        if is_subgroup(B.mul, cyc):
             return cyc, STRATEGY_BRUTE_FORCE
     return None, STRATEGY_BRUTE_FORCE
 

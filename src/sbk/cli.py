@@ -15,13 +15,14 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Optional
 
 from . import serialize
 from .bitset import members
-from .braces import classify, opposite
+from .braces import BraceFlags, classify, opposite
 from .cauchy import cauchy_report, find_subbrace_of_order, survey_order
 from .enumeration import _resolve_cap, all_skew_braces
 from .errors import BadInput, SkewBraceKitError, UnsupportedOrder
@@ -35,7 +36,7 @@ from .substructure import (
     ker_lambda,
     subbrace_carriers,
 )
-from .ybe import SolutionReport, to_solution
+from .ybe import to_solution
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -211,13 +212,7 @@ def _manifest(catalog, selected: list[int], flag_census: dict[str, int]) -> dict
 def cmd_enumerate(args: argparse.Namespace) -> int:
     catalog = all_skew_braces(args.order)
     selected = []
-    census = {
-        "trivial": 0,
-        "almost_trivial": 0,
-        "abelian": 0,
-        "two_sided": 0,
-        "bi_skew": 0,
-    }
+    census = {f.name: 0 for f in fields(BraceFlags)}
     for i, B in enumerate(catalog.entries):
         flags = classify(B)
         keep = True
@@ -291,14 +286,9 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 def cmd_ybe(args: argparse.Namespace) -> int:
     B = serialize.load_brace(args.path)
-    # to_solution raises unless r satisfies the braid relation and is
-    # non-degenerate, so the report it has checked is a valid one
     r = to_solution(B)
-    report = SolutionReport(
-        braid_ok=True, nondegenerate=True, braid_violation=None, degenerate_slot=None
-    )
     if args.json:
-        _print(serialize.canonical_dumps(serialize.ybe_to_obj(r, report)))
+        _print(serialize.canonical_dumps(serialize.ybe_to_obj(r)))
     else:
         _print(f"order {B.n}: braid relation holds, non-degenerate\n")
     return EXIT_OK

@@ -363,6 +363,8 @@ def _resolve_cap(cap: Optional[int]) -> int:
             cap = int(env) if env else DEFAULT_ORDER_CAP
         except ValueError:
             raise BadInput(f"SBK_MAX_ORDER must be an integer, got {env!r}") from None
+        if cap < 1:
+            raise BadInput(f"SBK_MAX_ORDER must be at least 1, got {cap}")
     return min(cap, HARD_ORDER_CAP)
 
 

@@ -326,43 +326,12 @@ def group_properties(G: FiniteGroup) -> GroupProperties:
 # ---------------------------------------------------------------------------
 # Isomorphism machinery shared with the skew brace layer.  A map between two
 # structures carrying k parallel Cayley tables is searched by backtracking on
-# images of a greedy generating sequence, pruned by per-element order tuples.
+# images of greedily chosen generators, pruned by per-element order tuples.
 # ---------------------------------------------------------------------------
 
 
 def _order_profile(tables: Sequence[Sequence[Sequence[int]]], n: int) -> list[tuple[int, ...]]:
     return [tuple(_order_in_table(t, x) for t in tables) for x in range(n)]
-
-
-def _closure_multi(tables: Sequence[Sequence[Sequence[int]]], base: set[int]) -> set[int]:
-    seen = set(base)
-    seen.add(0)
-    frontier = list(seen)
-    while frontier:
-        a = frontier.pop()
-        for t in tables:
-            for b in list(seen):
-                for c in (t[a][b], t[b][a]):
-                    if c not in seen:
-                        seen.add(c)
-                        frontier.append(c)
-    return seen
-
-
-def _generating_sequence(tables: Sequence[Sequence[Sequence[int]]], n: int) -> list[int]:
-    """Greedy generators: repeatedly take the element of largest order
-    profile outside the closure of those chosen so far."""
-    profile = _order_profile(tables, n)
-    gens: list[int] = []
-    closed = {0}
-    while len(closed) < n:
-        best = max(
-            (x for x in range(n) if x not in closed),
-            key=lambda x: (profile[x], -x),
-        )
-        gens.append(best)
-        closed = _closure_multi(tables, set(gens))
-    return gens
 
 
 def table_isomorphisms(
@@ -373,6 +342,9 @@ def table_isomorphisms(
     """Bijections fixing 0 that respect every table pair simultaneously.
 
     Returns all such maps when find_all is set, otherwise at most one.
+    Each next generator is the unmapped element of largest order profile,
+    least index on ties, so it lies outside the substructure generated so
+    far.
     """
     n = len(src_tables[0])
     if len(dst_tables[0]) != n:
@@ -382,10 +354,10 @@ def table_isomorphisms(
     if sorted(src_profile) != sorted(dst_profile):
         return []
 
-    gens = _generating_sequence(src_tables, n)
-    candidates = [
-        [y for y in range(n) if dst_profile[y] == src_profile[g]] for g in gens
-    ]
+    order = sorted(range(1, n), key=lambda x: (src_profile[x], -x), reverse=True)
+    candidates: dict[tuple[int, ...], list[int]] = {}
+    for y in range(n):
+        candidates.setdefault(dst_profile[y], []).append(y)
 
     results: list[Perm] = []
 
@@ -414,22 +386,25 @@ def table_isomorphisms(
         return True
 
     # propagate checks every pair of mapped elements in both orders, so the
-    # mapped set is closed and is the closure of the generators placed so
-    # far. gens[level] lies outside it, and at the last level it is
-    # everything: a complete map is an isomorphism with nothing to verify.
-    def search(level: int, fwd: list[int], used: list[bool]) -> bool:
-        if level == len(gens):
+    # mapped set is closed: the substructure generated by the generators
+    # placed so far. The mapped set only grows along a branch, so the next
+    # generator comes after the last one in `order`; once nothing is left
+    # unmapped, the map is an isomorphism with nothing to verify.
+    def search(i: int, fwd: list[int], used: list[bool]) -> bool:
+        while i < len(order) and fwd[order[i]] >= 0:
+            i += 1
+        if i == len(order):
             results.append(tuple(fwd))
             return not find_all
-        g = gens[level]
-        for img in candidates[level]:
+        g = order[i]
+        for img in candidates[src_profile[g]]:
             if used[img]:
                 continue
             fwd2 = fwd.copy()
             used2 = used.copy()
             fwd2[g] = img
             used2[img] = True
-            if propagate(fwd2, used2, g) and search(level + 1, fwd2, used2):
+            if propagate(fwd2, used2, g) and search(i + 1, fwd2, used2):
                 return True
         return False
 

@@ -346,3 +346,23 @@ def test_from_group_passes_validation(n):
         transposed = [list(col) for col in zip(*G.table)]
         _assert_validated(from_group(G, "trivial"), G.table, G.table)
         _assert_validated(from_group(G, "almost_trivial"), G.table, transposed)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_flags_match_the_oracles(n):
+    # one law loop answers validation, two-sided and bi-skew; the
+    # brute-force compatibility check is the arbiter, on every catalog
+    # brace and its opposite
+    for B0 in all_skew_braces(n, cap=15).entries:
+        for B in (B0, opposite(B0)):
+            add, mul = B.add.table, B.mul.table
+            flags = classify(B)
+            two_sided = oracles.left_compatible(add, tuple(zip(*mul)))
+            assert is_two_sided(B) == flags.two_sided == two_sided
+            sw = swap(B)
+            assert (sw is not None) == flags.bi_skew == oracles.left_compatible(mul, add)
+            if sw is not None:
+                rebuilt = make_skew_brace(mul, add)
+                assert sw == rebuilt and sw.lam == rebuilt.lam
+            commutative = all(add[a][b] == add[b][a] for a in range(n) for b in range(n))
+            assert flags.abelian == (mul == add and commutative)

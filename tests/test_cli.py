@@ -151,6 +151,13 @@ def test_non_integer_order_cap_is_an_error(capsys, monkeypatch):
     assert captured.err == "error: SBK_MAX_ORDER must be an integer, got 'abc'\n"
 
 
+def test_order_cap_below_one_is_one_error_line():
+    result = run_cli(["survey", "3"], env={"SBK_MAX_ORDER": "0"})
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: SBK_MAX_ORDER must be at least 1, got 0\n"
+
+
 def test_zero_workers_is_an_error(capsys):
     for cmd in ("survey", "harness"):
         assert main([cmd, "3", "--workers", "0"]) == 1

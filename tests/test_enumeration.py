@@ -300,3 +300,10 @@ def test_catalog_env_cap_must_be_an_integer(monkeypatch):
     monkeypatch.setenv("SBK_MAX_ORDER", "abc")
     with pytest.raises(BadInput, match="SBK_MAX_ORDER must be an integer"):
         all_skew_braces(3)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_catalog_env_cap_must_be_at_least_one(monkeypatch, value):
+    monkeypatch.setenv("SBK_MAX_ORDER", value)
+    with pytest.raises(BadInput, match=f"SBK_MAX_ORDER must be at least 1, got {value}$"):
+        all_skew_braces(3)

@@ -1,26 +1,37 @@
 """Golden digests of the command line's outputs.
 
-Each test runs a fixed set of commands through `sbk.cli.main` and pins the
-sha256 digest of everything they print and write: exit codes, stdout,
-stderr, and every file `enumerate --out` leaves behind. A refactor that
+Each test but the last runs a fixed set of commands through `sbk.cli.main`
+and pins the sha256 digest of everything they print and write: exit codes,
+stdout, stderr, and every file `enumerate --out` leaves behind. The last
+pins the raw result lists of the isomorphism search. A refactor that
 claims to change no output must leave every digest as it is; when
 a change means to alter an output, its digest is updated together with a
 note in CHANGES.md saying why.
 """
 
 import hashlib
+import random
 
 from sbk.braces import assemble, from_group
 from sbk.cli import main
-from sbk.enumeration import all_skew_braces
-from sbk.groups import cyclic_group, dicyclic_group, dihedral_group, direct_product
+from sbk.enumeration import all_skew_braces, groups_of_order
+from sbk.groups import (
+    cyclic_group,
+    dicyclic_group,
+    dihedral_group,
+    direct_product,
+    table_isomorphisms,
+)
 from sbk.serialize import brace_to_obj, canonical_dumps
+
+import oracles
 
 CATALOG_DIGEST = "83fbb63dcfb4632fc196f99db1d3385536564d7bfbb84581019bc0c16a360a7f"
 SURVEY_DIGEST = "eef066c320389225a212fd0f537cd357b7741292b2e0f66fc4244a23bf5d4da8"
 FILE_COMMANDS_DIGEST = "9f959f945bf974c197d917373d2b9a27ba0086250066c8be497fde0fdf91dc89"
 FILE_COMMANDS_TEXT_DIGEST = "2dc0ba93ad44b612d35da79d8255a5fbd67e37220e823c97121bf377d741cfc0"
 LARGE_ANALYZE_DIGEST = "b7c5ec795df3faec050f2cbc2fafcea8ce41a1e5436c8dfe0cd68c3e95e9b86b"
+ISOMORPHISM_DIGEST = "520ae921df12e099ddc00b5dbffaaf1a730dfbed8a6ddbfab4df6f292e5bc898"
 
 FILE_COMMANDS = ("verify", "analyze", "cauchy", "ybe")
 
@@ -108,3 +119,33 @@ def test_analyze_digest_orders_16_to_32(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SBK_MAX_ORDER", "12")
     digest = _file_commands_digest(tmp_path, capsys, _large_braces(), ("analyze",), ["--json"])
     assert digest == LARGE_ANALYZE_DIGEST
+
+
+def _isomorphism_inputs():
+    """Table lists for the isomorphism search: every group of order at
+    most 15 with two seeded relabelings fixing 0, the catalog braces of
+    orders 6, 8 and 12 as (add, mul) pairs, and C2^4 (20160 maps)."""
+    rng = random.Random(15)
+    for n in range(1, 16):
+        tables = []
+        for G in groups_of_order(n):
+            tables.append(G.table)
+            for _ in range(2):
+                sigma = (0, *rng.sample(range(1, n), n - 1))
+                tables.append(oracles.relabel(G.table, sigma))
+        yield [[t] for t in tables]
+    for n in (6, 8, 12):
+        yield [[B.add.table, B.mul.table] for B in all_skew_braces(n, cap=12).entries]
+    c2 = cyclic_group(2)
+    yield [[direct_product(direct_product(c2, c2), direct_product(c2, c2)).table]]
+
+
+def test_isomorphism_search_digest():
+    # the raw result lists, in the order the search finds them
+    h = hashlib.sha256()
+    for structures in _isomorphism_inputs():
+        for src in structures:
+            for dst in structures:
+                h.update(repr(table_isomorphisms(src, dst, find_all=True)).encode())
+                h.update(repr(table_isomorphisms(src, dst)).encode())
+    assert h.hexdigest() == ISOMORPHISM_DIGEST

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -343,6 +344,45 @@ def test_nilpotency_matches_sylow_criterion(n):
 
 def test_is_isomorphic_distinguishes_z4_klein():
     assert is_isomorphic(cyclic_group(4), direct_product(cyclic_group(2), cyclic_group(2))) is None
+
+
+def _product_table(elements, op):
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[op(x, y)] for y in elements] for x in elements]
+
+
+def _heisenberg_3(x, y):
+    # (a, b, c)(a', b', c') = (a + a', b + b', c + c' + ab') mod 3
+    return ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3, (x[2] + y[2] + x[0] * y[1]) % 3)
+
+
+def _c4_semidirect_c4(x, y):
+    # x^i y^j x^k y^l = x^(i + (-1)^j k) y^(j + l)
+    return ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 4)
+
+
+def test_same_order_profile_is_not_isomorphic():
+    # through order 15 the order profiles alone separate every pair of
+    # groups; these pairs share their profiles, so only the search itself
+    # can reject them
+    z3_cubed = list(product(range(3), repeat=3))
+    z4_squared = list(product(range(4), repeat=2))
+    c3_3 = make_group(
+        _product_table(z3_cubed, lambda x, y: tuple((u + v) % 3 for u, v in zip(x, y)))
+    )
+    heis = make_group(_product_table(z3_cubed, _heisenberg_3))
+    c4_c4 = make_group(
+        _product_table(z4_squared, lambda x, y: ((x[0] + y[0]) % 4, (x[1] + y[1]) % 4))
+    )
+    c4_sd_c4 = make_group(_product_table(z4_squared, _c4_semidirect_c4))
+    for G, H in ((c3_3, heis), (c4_c4, c4_sd_c4)):
+        profile = sorted(element_order(G, x) for x in G.elements())
+        assert profile == sorted(element_order(H, x) for x in H.elements())
+        assert is_isomorphic(G, H) is None
+        assert is_isomorphic(H, G) is None
+    auts = automorphism_group(heis)
+    assert len(auts) == 432  # 9 inner automorphisms times |GL(2, 3)| = 48
+    assert all(is_automorphism(heis, p) for p in auts)
 
 
 def test_is_isomorphic_z6_z2xz3():

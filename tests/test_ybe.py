@@ -1,6 +1,7 @@
 from sbk.braces import from_group
 from sbk.enumeration import all_skew_braces, are_isomorphic_braces
 from sbk.groups import cyclic_group
+from sbk.serialize import ybe_to_obj
 from sbk.ybe import YBEMap, check_solution, to_solution
 
 
@@ -24,6 +25,20 @@ def test_catalog_solutions_up_to_6_verify():
         for B in all_skew_braces(n).entries:
             report = check_solution(to_solution(B))
             assert report.braid_ok and report.nondegenerate
+
+
+def test_ybe_obj_reports_what_check_solution_finds():
+    # ybe_to_obj writes both checks as true, because to_solution returns
+    # only checked maps; check_solution is the reference
+    for n in range(1, 9):
+        for B in all_skew_braces(n).entries:
+            r = to_solution(B)
+            report = check_solution(r)
+            obj = ybe_to_obj(r)
+            assert (obj["braid_ok"], obj["nondegenerate"]) == (
+                report.braid_ok,
+                report.nondegenerate,
+            )
 
 
 def test_flip_map_is_valid():
