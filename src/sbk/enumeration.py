@@ -365,6 +365,8 @@ def _resolve_cap(cap: Optional[int]) -> int:
             raise BadInput(f"SBK_MAX_ORDER must be an integer, got {env!r}") from None
         if cap < 1:
             raise BadInput(f"SBK_MAX_ORDER must be at least 1, got {cap}")
+    elif cap < 1:
+        raise BadInput(f"cap must be at least 1, got {cap}")
     return min(cap, HARD_ORDER_CAP)
 
 

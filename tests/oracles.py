@@ -98,6 +98,62 @@ def left_compatible(add, mul) -> bool:
     return True
 
 
+def first_nonassociative(table):
+    """The first triple (i, j, k), in lexicographic order, with
+    (ij)k != i(jk); None for an associative table."""
+    n = len(table)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return (i, j, k)
+    return None
+
+
+def first_incompatible(add, mul):
+    """The first triple (a, b, c), in lexicographic order, with
+    a*(b+c) != a*b - a + a*c; None when the law holds on every triple.
+    Unlike left_compatible it also scans a = 0, and mul may be any table."""
+    n = len(add)
+    neg = [_neg(add, a) for a in range(n)]
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if mul[a][add[b][c]] != add[add[mul[a][b]][neg[a]]][mul[a][c]]:
+            return (a, b, c)
+    return None
+
+
+def changed_cell(rng, table, first: int = 0):
+    """A copy of the table with one cell (i, j), both at least first, set
+    to another value; None when there is no such cell. Every such copy
+    breaks the Latin property."""
+    n = len(table)
+    if n < 2 or first >= n:
+        return None
+    out = [list(row) for row in table]
+    i, j = rng.randrange(first, n), rng.randrange(first, n)
+    out[i][j] = rng.choice([v for v in range(n) if v != table[i][j]])
+    return out
+
+
+def intercalate_swap(rng, table, first: int = 0):
+    """A copy of a Latin square with one Latin-preserving 2x2 swap among
+    rows and columns at least first: cells (i, j), (i, l), (k, j), (k, l)
+    with t[i][j] = t[k][l] and t[i][l] = t[k][j] exchange along each row,
+    so every row and column stays a permutation. None when 20 n^2 random
+    tries find no such swap."""
+    n = len(table)
+    if n - first < 2:
+        return None
+    for _ in range(20 * n * n):
+        i, k = rng.sample(range(first, n), 2)
+        j = rng.randrange(first, n)
+        l = list(table[i]).index(table[k][j])
+        if l >= first and l != j and table[k][l] == table[i][j]:
+            out = [list(row) for row in table]
+            out[i][j], out[i][l] = table[i][l], table[i][j]
+            out[k][j], out[k][l] = table[k][l], table[k][j]
+            return out
+    return None
+
+
 def skew_braces_bruteforce(n: int) -> dict:
     """Counts of braces of order n from exhaustive table-pair search,
     deduplicated by exhaustive relabeling: total plus a count per

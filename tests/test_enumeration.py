@@ -302,6 +302,12 @@ def test_catalog_env_cap_must_be_an_integer(monkeypatch):
         all_skew_braces(3)
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_catalog_explicit_cap_must_be_at_least_one(cap):
+    with pytest.raises(BadInput, match=f"^cap must be at least 1, got {cap}$"):
+        all_skew_braces(3, cap=cap)
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_catalog_env_cap_must_be_at_least_one(monkeypatch, value):
     monkeypatch.setenv("SBK_MAX_ORDER", value)

@@ -10,9 +10,10 @@ note in CHANGES.md saying why.
 """
 
 import hashlib
+import json
 import random
 
-from sbk.braces import assemble, from_group
+from sbk.braces import SkewBrace, assemble, from_group
 from sbk.cli import main
 from sbk.enumeration import all_skew_braces, groups_of_order
 from sbk.groups import (
@@ -32,6 +33,7 @@ FILE_COMMANDS_DIGEST = "9f959f945bf974c197d917373d2b9a27ba0086250066c8be497fde0f
 FILE_COMMANDS_TEXT_DIGEST = "2dc0ba93ad44b612d35da79d8255a5fbd67e37220e823c97121bf377d741cfc0"
 LARGE_ANALYZE_DIGEST = "b7c5ec795df3faec050f2cbc2fafcea8ce41a1e5436c8dfe0cd68c3e95e9b86b"
 ISOMORPHISM_DIGEST = "520ae921df12e099ddc00b5dbffaaf1a730dfbed8a6ddbfab4df6f292e5bc898"
+ERROR_LINES_DIGEST = "fd0717f4098b0a80fc74503a2c295e2120d3af47f90e2d7254e4408d2ab7d546"
 
 FILE_COMMANDS = ("verify", "analyze", "cauchy", "ybe")
 
@@ -149,3 +151,98 @@ def test_isomorphism_search_digest():
                 h.update(repr(table_isomorphisms(src, dst, find_all=True)).encode())
                 h.update(repr(table_isomorphisms(src, dst)).encode())
     assert h.hexdigest() == ISOMORPHISM_DIGEST
+
+
+def _product(B1: SkewBrace, B2: SkewBrace) -> SkewBrace:
+    return assemble(direct_product(B1.add, B2.add), direct_product(B1.mul, B2.mul))
+
+
+def _error_line_braces():
+    """Braces of orders 8 to 64: two catalog braces, an almost trivial
+    brace of order 16, four products of catalog braces and the trivial
+    brace on C2^6, whose additive group needs six generators."""
+    cat = lambda n, i: all_skew_braces(n, cap=12).entries[i]  # noqa: E731
+    c2 = cyclic_group(2)
+    c2_6 = c2
+    for _ in range(5):
+        c2_6 = direct_product(c2_6, c2)
+    yield cat(8, 25)
+    yield cat(12, 7)
+    yield from_group(dihedral_group(16), "almost_trivial")
+    yield _product(cat(6, 3), cat(4, 3))
+    yield _product(cat(8, 25), cat(4, 0))
+    yield _product(cat(12, 5), cat(4, 1))
+    yield _product(cat(8, 25), cat(8, 3))
+    yield from_group(c2_6, "trivial")
+
+
+def _broken_group(rng, table):
+    """A loop that is not a group: a Latin-preserving 2x2 swap away from
+    row and column 0, so the identity stays, that breaks associativity."""
+    while True:
+        loop = oracles.intercalate_swap(rng, table, first=1)
+        if oracles.first_nonassociative(loop) is not None:
+            return loop
+
+
+def _incompatible_mul(rng, add, mul):
+    """The multiplication relabeled by a permutation fixing 0 until the
+    pair breaks the compatibility law; both tables stay groups."""
+    n = len(add)
+    while True:
+        sigma = (0, *rng.sample(range(1, n), n - 1))
+        other = oracles.relabel(mul, sigma)
+        if oracles.first_incompatible(add, other) is not None:
+            return other
+
+
+def _corrupted_brace_files(tmp_path):
+    """Seeded files that are not braces, four per brace: one changed cell
+    (in the additive table for even-numbered braces, in the multiplicative
+    one for odd), a non-associative loop in place of each table, and an
+    incompatible multiplication over the valid additive group. Each file
+    is then relabeled at random, with the identity off index 0 in every
+    other file."""
+    rng = random.Random(64)
+    count = 0
+    for index, B in enumerate(_error_line_braces()):
+        n = B.n
+        add, mul = B.add.table, B.mul.table
+        variants = [
+            (oracles.changed_cell(rng, add), mul) if index % 2 == 0
+            else (add, oracles.changed_cell(rng, mul)),
+            (_broken_group(rng, add), mul),
+            (add, _broken_group(rng, mul)),
+            (add, _incompatible_mul(rng, add, mul)),
+        ]
+        for kind, (a, m) in enumerate(variants):
+            labels = list(range(n))
+            rng.shuffle(labels)
+            if (labels[0] == 0) != (count % 2 == 0):
+                k = labels.index(0) if count % 2 == 0 else rng.randrange(1, n)
+                labels[0], labels[k] = labels[k], labels[0]
+            path = tmp_path / f"bad_{n:02d}_{index}_{kind}.json"
+            obj = {
+                "order": n,
+                "add": [list(r) for r in oracles.relabel(a, labels)],
+                "mul": [list(r) for r in oracles.relabel(m, labels)],
+            }
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            count += 1
+            yield path
+
+
+def test_error_lines_digest_orders_8_to_64(tmp_path, capsys, monkeypatch):
+    # pins the first violation each rejection names, in the file's labels
+    monkeypatch.setenv("SBK_MAX_ORDER", "12")
+    h = hashlib.sha256()
+    for path in _corrupted_brace_files(tmp_path):
+        for cmd in ("verify", "ybe"):
+            code = main([cmd, str(path), "--json"])
+            _, err = capsys.readouterr()
+            assert code == 1
+            h.update(f"{path.name} {cmd} exit {code}\n".encode())
+            for line in err.splitlines():
+                if line.startswith("error:"):
+                    h.update(f"{line}\n".encode())
+    assert h.hexdigest() == ERROR_LINES_DIGEST
