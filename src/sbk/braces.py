@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Literal, Optional, Sequence
 
 from .errors import IdentityMismatch, LeftDistributivityFails
-from .groups import FiniteGroup, Perm, _group, find_identity, make_group
+from .groups import FiniteGroup, Perm, _group, _square_rows, find_identity, make_group
 
 
 @dataclass(frozen=True)
@@ -142,14 +142,27 @@ def make_skew_brace(
     triples in the labels of the tables as given."""
     if len(add_table) != len(mul_table):
         raise ValueError("additive and multiplicative tables differ in size")
-    e_add = find_identity(add_table)
-    e_mul = find_identity(mul_table)
+    add_rows = _square_rows(add_table, "add")
+    mul_rows = _square_rows(mul_table, "mul")
+    return _skew_brace_of_rows(add_rows, mul_rows, add_name, mul_name)
+
+
+def _skew_brace_of_rows(
+    add_rows: Sequence[Sequence[int]],
+    mul_rows: Sequence[Sequence[int]],
+    add_name: str = "",
+    mul_name: str = "",
+) -> SkewBrace:
+    """make_skew_brace on two tables of one size that have already passed
+    through _square_rows. Each table's identity is found once here."""
+    e_add = find_identity(add_rows)
+    e_mul = find_identity(mul_rows)
     if e_add is not None and e_mul is not None and e_add != e_mul:
         raise IdentityMismatch(e_add, e_mul)
     # make_group reports in the given labels, then moves the identity to 0
     # by the transposition (0 e_add); both tables share that relabeling.
-    add = make_group(add_table, name=add_name)
-    mul = make_group(mul_table, name=mul_name)
+    add = make_group(add_rows, name=add_name, identity=e_add)
+    mul = make_group(mul_rows, name=mul_name, identity=e_mul)
     try:
         return assemble(add, mul)
     except LeftDistributivityFails as exc:

@@ -91,8 +91,3 @@ class UnsupportedOrder(SkewBraceKitError):
         self.n = n
         self.cap = cap
 
-
-class BraidRelationFails(SkewBraceKitError):
-    def __init__(self, x: int, y: int, z: int):
-        super().__init__(f"braid relation fails at triple ({x}, {y}, {z})")
-        self.triple = (x, y, z)

@@ -18,6 +18,19 @@ whole table. _spanning picks such an S, of at most log2(n) elements for a
 group, and make_group scans k over S: O(n^2 |S|) work in place of n^3.
 The same argument decides normality: the g with gHg^-1 in H are closed
 under products, so is_normal tests only the group's generators.
+
+No Latin square test is needed beside it. In an associative table with
+identity e in which every row holds e, every x has a right inverse y,
+xy = e. Let z be a right inverse of y; then
+
+    x = xe = x(yz) = (xy)z = ez = z,
+
+so yx = yz = e: y is a two-sided inverse and the table is a group, whose
+rows and columns are permutations. make_group decides the axioms on
+these three tests: an identity, e in every row, and Light's test. Only a
+table that fails one is scanned in full (Latin rows, Latin columns, then
+associativity over every k) to name the same first violation as a full
+check would.
 """
 
 from __future__ import annotations
@@ -25,10 +38,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from .bitset import ElementSet, contains, full_mask, mask_of, members, size, sort_key
 from .errors import (
+    BadInput,
     GroupTooLarge,
     NoIdentity,
     NotAssociative,
@@ -86,50 +100,78 @@ def find_identity(table: Sequence[Sequence[int]]) -> Optional[int]:
     return None
 
 
-def make_group(table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
+def make_group(
+    table: Sequence[Sequence[int]], name: str = "", *, identity: Optional[int] = None
+) -> FiniteGroup:
     """Validate a Cayley table and return the group, identity moved to 0.
 
-    Raises NoIdentity, NotLatinSquare or NotAssociative naming the first
-    violation found; a table passing all three is a group. A ValueError
-    signals a malformed table (non-square or out-of-range entries).
+    Raises BadInput when the table is not square with entries 0..n-1, then
+    NoIdentity, NotLatinSquare or NotAssociative naming the first
+    violation; a table passing all of them is a group. A caller that has
+    already passed the table through _square_rows and found its identity
+    with find_identity gives that identity, and neither is done again.
     """
-    n = len(table)
+    rows = table
+    if identity is None:
+        rows = _square_rows(table, "table")
+        identity = find_identity(rows)
+    n = len(rows)
     if n == 0:
         raise ValueError("empty table")
     if n > MAX_GROUP_ORDER:
         raise GroupTooLarge(n, MAX_GROUP_ORDER)
-    rows = [tuple(row) for row in table]
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        for x in row:
-            if not isinstance(x, int) or not 0 <= x < n:
-                raise ValueError(f"entry {x!r} in row {i} out of range 0..{n - 1}")
-
-    identity = find_identity(rows)
     if identity is None:
         raise NoIdentity()
-
-    expected = frozenset(range(n))
-    for i in range(n):
-        if frozenset(rows[i]) != expected:
-            raise NotLatinSquare("row", i)
-    for j in range(n):
-        if frozenset(rows[i][j] for i in range(n)) != expected:
-            raise NotLatinSquare("column", j)
-
-    if _associativity_failure(rows, _spanning(rows, identity)) is not None:
-        # Light's test found a failure; name the first over all k
-        raise NotAssociative(*_associativity_failure(rows, range(n)))
+    if not all(identity in row for row in rows) or (
+        _associativity_failure(rows, _spanning(rows, identity)) is not None
+    ):
+        _raise_first_violation(rows)
 
     if identity != 0:
         # relabel by the transposition (0 identity)
         sigma = list(range(n))
         sigma[0], sigma[identity] = identity, 0
-        rows = [
-            tuple(sigma[rows[sigma[i]][sigma[j]]] for j in range(n)) for i in range(n)
-        ]
+        moved = [rows[s] for s in sigma]
+        rows = [tuple([sigma[row[t]] for t in sigma]) for row in moved]
     return _group(rows, name)
+
+
+def _square_rows(table: Sequence[Sequence[int]], key: str) -> list[tuple[int, ...]]:
+    """The rows of a square table of indices, as tuples: each row a list or
+    tuple of len(table) entries, each an int (not a bool) in 0..n-1.
+
+    A few whole-table tests decide it. Only when they fail is the table
+    scanned row by row, to raise BadInput on the first bad row or entry,
+    calling the table key.
+    """
+    n = len(table)
+    entries = itertools.chain.from_iterable
+    if not (
+        all(type(row) in (list, tuple) and len(row) == n for row in table)
+        and list(map(type, entries(table))).count(int) == n * n
+        and set(range(n)).issuperset(entries(table))
+    ):
+        for i, row in enumerate(table):
+            if type(row) not in (list, tuple) or len(row) != n:
+                raise BadInput(f"row {i} of {key!r} must have length {n}")
+            for x in row:
+                if type(x) is not int or not 0 <= x < n:
+                    raise BadInput(f"entry {x!r} in row {i} of {key!r} out of range")
+    return [tuple(row) for row in table]
+
+
+def _raise_first_violation(rows: Sequence[Sequence[int]]) -> NoReturn:
+    """Raise the first failure of the full check on a square table with an
+    identity that is not a group: a row, then a column, that is not a
+    permutation, then the first non-associative triple."""
+    expected = frozenset(range(len(rows)))
+    for i, row in enumerate(rows):
+        if frozenset(row) != expected:
+            raise NotLatinSquare("row", i)
+    for j, col in enumerate(zip(*rows)):
+        if frozenset(col) != expected:
+            raise NotLatinSquare("column", j)
+    raise NotAssociative(*_associativity_failure(rows, range(len(rows))))
 
 
 def _spanning(table: Sequence[Sequence[int]], e: int = 0) -> tuple[int, ...]:

@@ -15,10 +15,10 @@ import json
 from typing import Any
 
 from .bitset import members
-from .braces import SkewBrace, make_skew_brace
+from .braces import SkewBrace, _skew_brace_of_rows
 from .cauchy import CauchyReport, SurveyRow
 from .errors import BadInput
-from .groups import FiniteGroup, make_group
+from .groups import FiniteGroup, _square_rows, make_group
 from .ybe import YBEMap
 
 
@@ -26,19 +26,11 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _require_table(obj: Any, key: str, n: int) -> list[list[int]]:
+def _require_field(obj: Any, key: str, n: int) -> list:
     table = obj.get(key)
     if not isinstance(table, list) or len(table) != n:
         raise BadInput(f"field {key!r} must be a {n}x{n} array")
-    out = []
-    for i, row in enumerate(table):
-        if not isinstance(row, list) or len(row) != n:
-            raise BadInput(f"row {i} of {key!r} must have length {n}")
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
-                raise BadInput(f"entry {x!r} in row {i} of {key!r} out of range")
-        out.append(list(row))
-    return out
+    return table
 
 
 def _require_order(obj: Any) -> int:
@@ -52,8 +44,8 @@ def _require_order(obj: Any) -> int:
 
 def group_from_obj(obj: Any, name: str = "") -> FiniteGroup:
     n = _require_order(obj)
-    table = _require_table(obj, "table", n)
-    return make_group(table, name=name)
+    # make_group checks the rows and entries, calling the table 'table'
+    return make_group(_require_field(obj, "table", n), name=name)
 
 
 def group_to_obj(G: FiniteGroup) -> dict[str, Any]:
@@ -61,10 +53,13 @@ def group_to_obj(G: FiniteGroup) -> dict[str, Any]:
 
 
 def brace_from_obj(obj: Any) -> SkewBrace:
+    """The brace of a JSON object. Each table is checked once: its field
+    here, then its rows and entries by _square_rows, the additive table
+    in full before the multiplicative one."""
     n = _require_order(obj)
-    add = _require_table(obj, "add", n)
-    mul = _require_table(obj, "mul", n)
-    return make_skew_brace(add, mul)
+    add = _square_rows(_require_field(obj, "add", n), "add")
+    mul = _square_rows(_require_field(obj, "mul", n), "mul")
+    return _skew_brace_of_rows(add, mul)
 
 
 def brace_to_obj(B: SkewBrace) -> dict[str, Any]:
@@ -115,8 +110,9 @@ def survey_rows_to_obj(rows: list[SurveyRow]) -> list[dict[str, Any]]:
 
 
 def ybe_to_obj(r: YBEMap) -> dict[str, Any]:
-    """The map and its checks; to_solution returns only maps that satisfy
-    the braid relation and are non-degenerate, so both are true."""
+    """The map and its checks; every map to_solution returns satisfies the
+    braid relation and is non-degenerate (Guarnieri and Vendramin, Thm
+    3.1), so both are true."""
     return {
         "order": r.n,
         "r": [[[u, v] for (u, v) in row] for row in r.pairs],

@@ -20,7 +20,7 @@ def sample(cls):
 
 
 def test_every_error_class_is_covered():
-    assert len(ERROR_CLASSES) == 13
+    assert len(ERROR_CLASSES) == 12
 
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)

@@ -1,9 +1,9 @@
 """Golden digests of the command line's outputs.
 
-Each test but the last runs a fixed set of commands through `sbk.cli.main`
+Each test but one runs a fixed set of commands through `sbk.cli.main`
 and pins the sha256 digest of everything they print and write: exit codes,
-stdout, stderr, and every file `enumerate --out` leaves behind. The last
-pins the raw result lists of the isomorphism search. A refactor that
+stdout, stderr, and every file `enumerate --out` leaves behind. The
+isomorphism test pins the raw result lists of the isomorphism search. A refactor that
 claims to change no output must leave every digest as it is; when
 a change means to alter an output, its digest is updated together with a
 note in CHANGES.md saying why.
@@ -34,6 +34,7 @@ FILE_COMMANDS_TEXT_DIGEST = "2dc0ba93ad44b612d35da79d8255a5fbd67e37220e823c97121
 LARGE_ANALYZE_DIGEST = "b7c5ec795df3faec050f2cbc2fafcea8ce41a1e5436c8dfe0cd68c3e95e9b86b"
 ISOMORPHISM_DIGEST = "520ae921df12e099ddc00b5dbffaaf1a730dfbed8a6ddbfab4df6f292e5bc898"
 ERROR_LINES_DIGEST = "fd0717f4098b0a80fc74503a2c295e2120d3af47f90e2d7254e4408d2ab7d546"
+LARGE_FILE_COMMANDS_DIGEST = "1dd47e03f62c4943f93bdc7e4257ee6153ad2dff763901e8b4b202d4f50c04cb"
 
 FILE_COMMANDS = ("verify", "analyze", "cauchy", "ybe")
 
@@ -246,3 +247,56 @@ def test_error_lines_digest_orders_8_to_64(tmp_path, capsys, monkeypatch):
                 if line.startswith("error:"):
                     h.update(f"{line}\n".encode())
     assert h.hexdigest() == ERROR_LINES_DIGEST
+
+
+# Direct products of catalog braces of orders 16 to 64, as (order.index,
+# order.index) pairs of catalog entries; the same nine pairs as the
+# benchmark's validate workload.
+PRODUCT_PAIRS = (
+    ("8.16", "2.0"), ("4.0", "4.3"), ("12.36", "2.0"), ("6.3", "4.3"), ("8.36", "4.0"),
+    ("12.24", "4.3"), ("14.4", "4.1"), ("15.0", "4.0"), ("8.25", "8.44"),
+)
+
+
+def _catalog_entry(key: str) -> SkewBrace:
+    n, i = map(int, key.split("."))
+    return all_skew_braces(n, cap=15).entries[i]
+
+
+def product_braces():
+    """The products of PRODUCT_PAIRS, named by their factors."""
+    for k1, k2 in PRODUCT_PAIRS:
+        yield f"{k1}x{k2}", _product(_catalog_entry(k1), _catalog_entry(k2))
+
+
+def _large_brace_files(tmp_path):
+    """Each product as written, then a seeded relabeling of it with the
+    identity off index 0."""
+    rng = random.Random(16)
+    for name, B in product_braces():
+        n = B.n
+        obj = brace_to_obj(B)
+        labels = list(range(n))
+        rng.shuffle(labels)
+        if labels[0] == 0:
+            k = rng.randrange(1, n)
+            labels[0], labels[k] = labels[k], labels[0]
+        moved = {
+            "order": n,
+            "add": [list(r) for r in oracles.relabel(obj["add"], labels)],
+            "mul": [list(r) for r in oracles.relabel(obj["mul"], labels)],
+        }
+        for suffix, o in (("", obj), ("_relabeled", moved)):
+            path = tmp_path / f"{name}{suffix}.json"
+            path.write_text(canonical_dumps(o), encoding="utf-8")
+            yield path
+
+
+def test_file_commands_digest_orders_16_to_64(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SBK_MAX_ORDER", "12")
+    h = hashlib.sha256()
+    for path in _large_brace_files(tmp_path):
+        for cmd in ("verify", "cauchy", "ybe"):
+            h.update(f"{path.name} ".encode())
+            _run(h, capsys, [cmd, str(path), "--json"])
+    assert h.hexdigest() == LARGE_FILE_COMMANDS_DIGEST

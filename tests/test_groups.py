@@ -5,6 +5,7 @@ import pytest
 
 from sbk.bitset import full_mask, mask_of, members, size
 from sbk.errors import (
+    BadInput,
     GroupTooLarge,
     NoIdentity,
     NotAssociative,
@@ -50,6 +51,45 @@ def test_make_group_not_latin():
     # identity row/column fine, but row 1 repeats an entry
     with pytest.raises(NotLatinSquare):
         make_group([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+
+
+def _first_non_latin(table):
+    """The full scan's verdict: the first row, then the first column, that
+    is not a permutation of 0..n-1."""
+    n = len(table)
+    for i, row in enumerate(table):
+        if sorted(row) != list(range(n)):
+            return ("row", i)
+    for j, col in enumerate(zip(*table)):
+        if sorted(col) != list(range(n)):
+            return ("column", j)
+    return None
+
+
+def _with_zero(G, at):
+    """G with a zero adjoined at index at: z*x = x*z = z for every x."""
+    label = [x if x < at else x + 1 for x in range(G.n)]
+    table = [[at] * (G.n + 1) for _ in range(G.n + 1)]
+    for a in range(G.n):
+        for b in range(G.n):
+            table[label[a]][label[b]] = label[G.table[a][b]]
+    return table
+
+
+def _monoids():
+    # associative tables with a two-sided identity that are not groups
+    for n in (4, 6, 12):
+        yield pytest.param([[i * j % n for j in range(n)] for i in range(n)], id=f"Z{n}_mul")
+    for G, at in ((cyclic_group(3), 0), (dihedral_group(6), 6), (cyclic_group(4), 2)):
+        yield pytest.param(_with_zero(G, at), id=f"{G.name}_zero_at_{at}")
+
+
+@pytest.mark.parametrize("table", _monoids())
+def test_make_group_rejects_monoids_like_the_full_scan(table):
+    assert oracles.first_nonassociative(table) is None
+    with pytest.raises(NotLatinSquare) as err:
+        make_group(table)
+    assert (err.value.kind, err.value.index) == _first_non_latin(table)
 
 
 def test_make_group_not_associative():
@@ -104,6 +144,21 @@ def test_make_group_symmetric_3_from_generators():
                 assert G.table[G.table[i][j]][k] == G.table[i][G.table[j][k]]
     assert not group_properties(G).abelian
     assert is_isomorphic(G, dihedral_group(6)) is not None
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 1], [1]], "row 1 of 'table' must have length 2"),
+        ([[0, 1], "10"], "row 1 of 'table' must have length 2"),
+        ([[0, 2], [1, 0]], "entry 2 in row 0 of 'table' out of range"),
+        ([[0, 1], [True, 0]], "entry True in row 1 of 'table' out of range"),
+    ],
+)
+def test_make_group_names_the_first_malformed_row_or_entry(table, message):
+    with pytest.raises(BadInput) as err:
+        make_group(table)
+    assert str(err.value) == message
 
 
 def test_group_order_cap():

@@ -76,6 +76,47 @@ def test_bad_payloads_raise(payload):
         brace_from_obj(payload)
 
 
+Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+def _with_cell(row: int, col: int, value) -> list:
+    table = [list(r) for r in Z3]
+    table[row][col] = value
+    return table
+
+
+def _with_row(row: int, value) -> list:
+    table = [list(r) for r in Z3]
+    table[row] = value
+    return table
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"order": 3, "add": _with_cell(1, 2, 1.0), "mul": Z3}, "entry 1.0 in row 1 of 'add' out of range"),
+        ({"order": 3, "add": _with_cell(0, 1, True), "mul": Z3}, "entry True in row 0 of 'add' out of range"),
+        ({"order": 3, "add": Z3, "mul": _with_cell(2, 0, "1")}, "entry '1' in row 2 of 'mul' out of range"),
+        ({"order": 3, "add": Z3, "mul": _with_cell(1, 1, None)}, "entry None in row 1 of 'mul' out of range"),
+        ({"order": 3, "add": _with_cell(2, 2, -1), "mul": Z3}, "entry -1 in row 2 of 'add' out of range"),
+        ({"order": 3, "add": Z3, "mul": _with_cell(0, 2, 3)}, "entry 3 in row 0 of 'mul' out of range"),
+        ({"order": 3, "add": _with_row(1, [1, 2]), "mul": Z3}, "row 1 of 'add' must have length 3"),
+        ({"order": 3, "add": Z3, "mul": _with_row(2, "201")}, "row 2 of 'mul' must have length 3"),
+        ({"order": 3, "add": Z3}, "field 'mul' must be a 3x3 array"),
+        ([Z3, Z3], 'top-level JSON value must be an object'),
+        ({"order": True, "add": [[0]], "mul": [[0]]}, "field 'order' must be a positive integer"),
+    ],
+    ids=[
+        "float", "true", "string", "null", "negative", "order",
+        "short_row", "row_not_list", "missing_mul", "top_level_list", "order_true",
+    ],
+)
+def test_bad_payload_messages(payload, message):
+    with pytest.raises(BadInput) as info:
+        brace_from_obj(payload)
+    assert str(info.value) == message
+
+
 def test_missing_file_raises(tmp_path):
     with pytest.raises(BadInput):
         load_brace(str(tmp_path / "missing.json"))

@@ -1,8 +1,12 @@
+import pytest
+
 from sbk.braces import from_group
 from sbk.enumeration import all_skew_braces, are_isomorphic_braces
 from sbk.groups import cyclic_group
 from sbk.serialize import ybe_to_obj
 from sbk.ybe import YBEMap, check_solution, to_solution
+
+from test_golden import product_braces
 
 
 def test_trivial_abelian_brace_gives_the_flip():
@@ -27,9 +31,25 @@ def test_catalog_solutions_up_to_6_verify():
             assert report.braid_ok and report.nondegenerate
 
 
+@pytest.mark.parametrize("n", range(1, 16))
+def test_catalog_solutions_verify_by_order(n):
+    # to_solution trusts Guarnieri and Vendramin's Thm 3.1; check_solution
+    # is the arbiter
+    for B in all_skew_braces(n, cap=15).entries:
+        report = check_solution(to_solution(B))
+        assert report.valid, (n, report)
+
+
+@pytest.mark.parametrize("B", [pytest.param(B, id=name) for name, B in product_braces()])
+def test_product_solutions_verify_orders_16_to_64(B):
+    report = check_solution(to_solution(B))
+    assert report.valid, report
+
+
 def test_ybe_obj_reports_what_check_solution_finds():
-    # ybe_to_obj writes both checks as true, because to_solution returns
-    # only checked maps; check_solution is the reference
+    # ybe_to_obj writes both checks as true, because every map to_solution
+    # returns is a non-degenerate solution (Thm 3.1); check_solution is
+    # the reference
     for n in range(1, 9):
         for B in all_skew_braces(n).entries:
             r = to_solution(B)
