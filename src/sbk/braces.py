@@ -34,6 +34,7 @@ unchecked.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from typing import Literal, Optional, Sequence
 
 from .errors import IdentityMismatch, LeftDistributivityFails
@@ -96,16 +97,25 @@ def _law_failure(
     add: FiniteGroup, mul_table: Sequence[Sequence[int]], cs: Sequence[int]
 ) -> Optional[tuple[int, int, int]]:
     """The first triple (a, b, c) with c in cs that breaks the law, in the
-    order of a, then b, then c; None when there is none."""
+    order of a, then b, then c; None when there is none.
+
+    Each side is one itemgetter call over a row. At order 1 an itemgetter
+    returns a scalar, not a 1-tuple, so that order returns at once: every
+    entry is 0 and the law holds.
+    """
     n = add.n
+    if n == 1:
+        return None
     plus = list(zip(*add.table))  # plus[c][b] = b + c
+    # at_plus(r) = (r[b + c] for every b), one getter per c
+    steps = [(c, itemgetter(*plus[c])) for c in cs]
     for a in range(n):
         mrow = mul_table[a]
-        ab_minus_a = [plus[add.inv[a]][x] for x in mrow]
+        at_ab_minus_a = itemgetter(*itemgetter(*mrow)(plus[add.inv[a]]))
         first = None
-        for c in cs:
-            left = [mrow[x] for x in plus[c]]  # a * (b + c) for every b
-            right = [plus[mrow[c]][x] for x in ab_minus_a]  # (a*b - a) + a*c
+        for c, at_plus in steps:
+            left = at_plus(mrow)  # a * (b + c) for every b
+            right = at_ab_minus_a(plus[mrow[c]])  # (a*b - a) + a*c for every b
             if left != right:
                 b = next(b for b in range(n) if left[b] != right[b])
                 if first is None or (b, c) < first:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NoReturn, Optional, Sequence
 
 from .bitset import ElementSet, contains, full_mask, mask_of, members, size, sort_key
@@ -206,16 +207,23 @@ def _associativity_failure(
     rows: Sequence[Sequence[int]], ks: Sequence[int]
 ) -> Optional[tuple[int, int, int]]:
     """The first triple (i, j, k) with k in ks and (ij)k != i(jk), in the
-    order of i, then j, then k; None when there is none."""
+    order of i, then j, then k; None when there is none.
+
+    Each side is one itemgetter call over a row or a column. At order 1
+    an itemgetter returns a scalar, not a 1-tuple, but the only table is
+    ((0,),), on which both sides are 0 and no mismatch is indexed.
+    """
     n = len(rows)
     cols = list(zip(*rows))
+    # at_col(r) = (r[col_k[j]] for every j), one getter per k
+    steps = [(k, cols[k], itemgetter(*cols[k])) for k in ks]
     for i in range(n):
         row_i = rows[i]
+        at_row = itemgetter(*row_i)
         first = None
-        for k in ks:
-            col_k = cols[k]
-            left = [col_k[x] for x in row_i]  # (ij)k for every j
-            right = [row_i[x] for x in col_k]  # i(jk) for every j
+        for k, col_k, at_col in steps:
+            left = at_row(col_k)  # (ij)k for every j
+            right = at_col(row_i)  # i(jk) for every j
             if left != right:
                 j = next(j for j in range(n) if left[j] != right[j])
                 if first is None or (j, k) < first:

@@ -7,6 +7,13 @@ Tables are 0-based and row-major with table[i][j] = i o j; the identity
 may sit at any index on input and is normalized to index 0 on load. All
 emitted JSON is canonical (sorted keys, two-space indent, trailing
 newline) so identical inputs produce byte-identical files.
+
+canonical_dumps writes that form itself, byte for byte what
+json.dumps(obj, sort_keys=True, indent=2) writes: with indent set, the
+json module drops its C encoder for a pure-Python one, which was the
+largest single cost of writing a brace or a Yang-Baxter map. Lists of
+plain ints, nearly all of every output, are joined with str; keys and
+every other scalar still go through json.dumps.
 """
 
 from __future__ import annotations
@@ -22,8 +29,36 @@ from .groups import FiniteGroup, _square_rows, make_group
 from .ybe import YBEMap
 
 
+_INT = frozenset({int})
+
+
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) plus a newline, byte for
+    byte, for an object of dicts with str keys, lists, tuples and scalars.
+    Written here because json encodes in Python, not C, once indent is
+    set."""
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(obj: Any, nl: str) -> str:
+    """obj as json.dumps(indent=2) writes it, nl being a newline and the
+    indent of the line obj starts on, where its closing bracket goes."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if set(map(type, obj)) == _INT:  # not bool, which prints as true
+            items = map(str, obj)
+        else:
+            items = [_dumps(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = [json.dumps(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(obj)
 
 
 def _require_field(obj: Any, key: str, n: int) -> list:

@@ -120,6 +120,52 @@ def first_incompatible(add, mul):
     return None
 
 
+def associativity_failure_by_lists(rows, ks):
+    """The first triple (i, j, k) with k in ks and (ij)k != i(jk), in the
+    order of i, then j, then k; None when there is none. The list
+    comprehension loop groups._associativity_failure was written from,
+    kept as the reference for its itemgetter form."""
+    n = len(rows)
+    cols = list(zip(*rows))
+    for i in range(n):
+        row_i = rows[i]
+        first = None
+        for k in ks:
+            col_k = cols[k]
+            left = [col_k[x] for x in row_i]  # (ij)k for every j
+            right = [row_i[x] for x in col_k]  # i(jk) for every j
+            if left != right:
+                j = next(j for j in range(n) if left[j] != right[j])
+                if first is None or (j, k) < first:
+                    first = (j, k)
+        if first is not None:
+            return (i, *first)
+    return None
+
+
+def law_failure_by_lists(add, mul, cs):
+    """The first triple (a, b, c) with c in cs and a*(b+c) != a*b - a +
+    a*c, in the order of a, then b, then c; None when there is none. The
+    list comprehension loop braces._law_failure was written from, kept as
+    the reference for its itemgetter form; mul may be any table."""
+    n = len(add)
+    plus = list(zip(*add))  # plus[c][b] = b + c
+    for a in range(n):
+        mrow = mul[a]
+        ab_minus_a = [plus[_neg(add, a)][x] for x in mrow]
+        first = None
+        for c in cs:
+            left = [mrow[x] for x in plus[c]]  # a * (b + c) for every b
+            right = [plus[mrow[c]][x] for x in ab_minus_a]  # (a*b - a) + a*c
+            if left != right:
+                b = next(b for b in range(n) if left[b] != right[b])
+                if first is None or (b, c) < first:
+                    first = (b, c)
+        if first is not None:
+            return (a, *first)
+    return None
+
+
 def changed_cell(rng, table, first: int = 0):
     """A copy of the table with one cell (i, j), both at least first, set
     to another value; None when there is no such cell. Every such copy

@@ -7,18 +7,24 @@ products of orders 16 to 64, are corrupted with seeded random: one changed
 cell, a Latin-preserving 2x2 swap (a loop that still passes the Latin
 check), and, for the law, a corrupted second table over a valid group.
 Each verdict must agree with the full scan in tests/oracles.py, and each
-error must name the first triple that scan finds.
+error must name the first triple that scan finds. On every such table the
+two law kernels, which compose rows with operator.itemgetter, must also
+name the same first triple as the list comprehension loops they replaced,
+kept in tests/oracles.py; at orders 1 and 2 they are checked on every
+table, where an itemgetter of one index returns a scalar.
 """
 
+import itertools
 import random
 
 import pytest
 
-from sbk.braces import SkewBrace, assemble, is_two_sided, swap
+from sbk.braces import SkewBrace, _law_failure, assemble, is_two_sided, swap
 from sbk.enumeration import all_skew_braces, groups_of_order
 from sbk.errors import LeftDistributivityFails, NoIdentity, NotAssociative, NotLatinSquare
 from sbk.groups import (
     FiniteGroup,
+    _associativity_failure,
     alternating_group_4,
     cyclic_group,
     dicyclic_group,
@@ -98,6 +104,44 @@ def _corruptions(rng: random.Random, table, first: int):
     return [t for t in out if t is not None]
 
 
+def _assert_associativity_kernel_agrees(table) -> None:
+    """_associativity_failure names the list loop's first triple, with k
+    over every element and over a descending subset."""
+    n = len(table)
+    for ks in (range(n), range(n - 1, 0, -2)):
+        expected = oracles.associativity_failure_by_lists(table, ks)
+        assert _associativity_failure(table, ks) == expected
+
+
+def _assert_law_kernel_agrees(add: FiniteGroup, table) -> None:
+    """_law_failure names the list loop's first triple, with c over every
+    element and over the generators the law is decided on."""
+    for cs in (range(add.n), add.gens):
+        expected = oracles.law_failure_by_lists(add.table, table, cs)
+        assert _law_failure(add, table, cs) == expected
+
+
+def _all_tables(n: int):
+    """Every n x n table with entries in 0..n-1."""
+    for cells in itertools.product(range(n), repeat=n * n):
+        yield [cells[i * n : (i + 1) * n] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_law_kernels_match_the_list_loops_on_every_table(n):
+    index_lists = [ks for r in range(n + 1) for ks in itertools.permutations(range(n), r)]
+    add = cyclic_group(n)
+    failures = 0
+    for table in _all_tables(n):
+        for ks in index_lists:
+            expected = oracles.associativity_failure_by_lists(table, ks)
+            assert _associativity_failure(table, ks) == expected
+            law_expected = oracles.law_failure_by_lists(add.table, table, ks)
+            assert _law_failure(add, table, ks) == law_expected
+            failures += (expected is not None) + (law_expected is not None)
+    assert (failures > 0) == (n > 1)
+
+
 def _make_group_verdict(table) -> str:
     """make_group's verdict on a table, checked against the full scan."""
     try:
@@ -119,6 +163,7 @@ def _check_groups(groups, rng: random.Random) -> dict[str, int]:
         tables = [G.table, *_corruptions(rng, G.table, 0), *_corruptions(rng, G.table, 1)]
         for table in tables:
             relabeled = oracles.relabel(table, _random_labels(rng, G.n))
+            _assert_associativity_kernel_agrees(relabeled)
             verdict = _make_group_verdict(relabeled)
             verdicts[verdict] = verdicts.get(verdict, 0) + 1
     return verdicts
@@ -151,6 +196,8 @@ def _check_law(B: SkewBrace, rng: random.Random) -> int:
     muls = [mul, oracles.relabel(mul, sigma), *_corruptions(rng, mul, 1)]
     failed = 0
     for table in muls:
+        _assert_law_kernel_agrees(B.add, table)
+        _assert_law_kernel_agrees(B.add, _transpose(table))
         compatible = oracles.left_compatible(add, table)
         try:
             assemble(B.add, _any_table(table))
@@ -164,6 +211,7 @@ def _check_law(B: SkewBrace, rng: random.Random) -> int:
     # swap decides the law for (mul, add): corrupt the table playing *
     adds = [add, oracles.relabel(add, sigma), *_corruptions(rng, add, 1)]
     for table in adds:
+        _assert_law_kernel_agrees(B.mul, table)
         pair = SkewBrace(n=n, add=_any_table(table), mul=B.mul, lam=())
         compatible = oracles.left_compatible(mul, table)
         assert (swap(pair) is not None) == compatible

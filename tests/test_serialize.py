@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
+from sbk import cli, serialize
 from sbk.braces import classify, from_group
-from sbk.enumeration import all_skew_braces
+from sbk.enumeration import all_skew_braces, groups_of_order
 from sbk.errors import BadInput, IdentityMismatch
 from sbk.groups import cyclic_group, dihedral_group
 from sbk.serialize import (
@@ -13,7 +15,11 @@ from sbk.serialize import (
     group_from_obj,
     group_to_obj,
     load_brace,
+    ybe_to_obj,
 )
+from sbk.ybe import to_solution
+
+from test_golden import product_braces
 
 
 def test_group_round_trip():
@@ -126,3 +132,109 @@ def test_canonical_dumps_is_stable():
     obj = {"b": 1, "a": [3, 2, 1]}
     assert canonical_dumps(obj) == canonical_dumps(dict(reversed(obj.items())))
     assert canonical_dumps(obj).endswith("\n")
+
+
+def _reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """Every object the command line passes to canonical_dumps, each held
+    to json.dumps as it is written."""
+    objs = []
+    writer = serialize.canonical_dumps
+
+    def checked(obj):
+        text = writer(obj)
+        assert text == _reference(obj)
+        objs.append(obj)
+        return text
+
+    monkeypatch.setattr(serialize, "canonical_dumps", checked)
+    return objs
+
+
+def test_writer_matches_json_on_every_json_command_through_8(tmp_path, written, monkeypatch, capsys):
+    monkeypatch.setenv("SBK_MAX_ORDER", "8")
+    for n in range(1, 9):
+        out = tmp_path / f"n{n}"
+        assert cli.main(["enumerate", str(n), "--out", str(out)]) == 0
+        for path in sorted(out.glob("brace_*.json")):
+            for cmd in ("verify", "analyze", "cauchy", "ybe"):
+                assert cli.main([cmd, str(path), "--json"]) == 0
+    assert cli.main(["survey", "8", "--json", "--workers", "1"]) == 0
+    assert cli.main(["harness", "8", "--json", "--workers", "1"]) == 0
+    capsys.readouterr()
+    braces = sum(len(all_skew_braces(n).entries) for n in range(1, 9))
+    # per order a manifest and its brace files; four reports per brace;
+    # the survey and the harness report
+    assert len(written) == 8 + braces + 4 * braces + 2
+    assert written[-1]["failures"] == []
+
+
+def test_writer_matches_json_on_harness_failures(written, monkeypatch, capsys):
+    # a finder that never finds a witness, so every brace in scope fails
+    monkeypatch.setattr(cli, "find_subbrace_of_order", lambda B, p: None)
+    assert cli.main(["harness", "6", "--json", "--workers", "1"]) == 2
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == written[-1]
+    assert len(printed["failures"]) > 0
+
+
+def test_writer_matches_json_on_group_and_large_brace_files():
+    for n in range(1, 9):
+        for G in groups_of_order(n):
+            obj = group_to_obj(G)
+            assert canonical_dumps(obj) == _reference(obj)
+    for _, B in product_braces():
+        for obj in (brace_to_obj(B), ybe_to_obj(to_solution(B))):
+            assert canonical_dumps(obj) == _reference(obj)
+
+
+# quotes, backslash, control characters, DEL, non-ASCII, an astral
+# character and a lone surrogate
+_CHARS = 'az Z09"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u00ff\u6f22\U0001f600\ud800'
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_value(rng: random.Random, depth: int = 0):
+    """A seeded random JSON value: big and negative ints, bools mixed into
+    int lists, None, floats, strings, and nested lists, tuples and dicts
+    with string keys, empty ones included."""
+    kind = rng.randrange(10 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice([0, 1, -1, 2**63, 2**64 + 1, -(2**70), rng.randint(-9, 9)])
+    if kind == 1:
+        return rng.choice([True, False, None, 0.5, -1e300, 1.0])
+    if kind == 2:
+        return _random_text(rng)
+    if kind == 3:
+        return [rng.randint(-(2**66), 2**66) for _ in range(rng.randrange(5))]
+    if kind == 4:
+        return [rng.choice([0, 1, True, False, -7]) for _ in range(rng.randrange(1, 5))]
+    items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind in (5, 6):
+        return items
+    if kind == 7:
+        return tuple(items)
+    return {_random_text(rng): v for v in items}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [[], {}, (), [[]], {"a": {}}, [1, True, 0], (3, -4), None, True, 2**64 + 1, "\u00e9\"\\\n"],
+    ids=repr,
+)
+def test_writer_matches_json_on_edge_cases(obj):
+    assert canonical_dumps(obj) == _reference(obj)
+
+
+def test_writer_matches_json_on_random_nested_objects():
+    rng = random.Random("canonical_dumps")
+    for _ in range(500):
+        obj = _random_value(rng)
+        assert canonical_dumps(obj) == _reference(obj)
