@@ -105,10 +105,10 @@ def sylow_fixed_point_diagnostic(B: SkewBrace, p: int) -> Optional[ElementSet]:
     return None
 
 
-def survey_order(n: int, cap: Optional[int] = None) -> list[SurveyRow]:
+def survey_order(n: int) -> list[SurveyRow]:
     """Cauchy status of every catalog brace of one order."""
     rows = []
-    catalog = all_skew_braces(n, cap=cap)
+    catalog = all_skew_braces(n)
     for idx, B in enumerate(catalog.entries):
         report = cauchy_report(B)
         rows.append(
@@ -122,9 +122,9 @@ def survey_order(n: int, cap: Optional[int] = None) -> list[SurveyRow]:
     return rows
 
 
-def survey(n_max: int, cap: Optional[int] = None) -> list[SurveyRow]:
+def survey(n_max: int) -> list[SurveyRow]:
     """Cauchy status of every catalog brace of order up to n_max."""
     rows = []
     for n in range(1, n_max + 1):
-        rows.extend(survey_order(n, cap=cap))
+        rows.extend(survey_order(n))
     return rows

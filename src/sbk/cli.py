@@ -23,8 +23,8 @@ from typing import Any, Optional
 from . import serialize
 from .bitset import members
 from .braces import BraceFlags, classify, opposite
-from .cauchy import cauchy_report, find_subbrace_of_order, survey_order
-from .enumeration import _resolve_cap, all_skew_braces
+from .cauchy import cauchy_report, survey_order
+from .enumeration import SUPPORTED_ORDERS, all_skew_braces
 from .errors import BadInput, SkewBraceKitError, UnsupportedOrder
 from .groups import prime_divisors
 from .substructure import (
@@ -249,11 +249,12 @@ def _survey_order(n: int) -> list[dict[str, Any]]:
 def _run_per_order(n_max: int, workers: int, job) -> list[Any]:
     if workers < 1:
         raise BadInput(f"--workers must be at least 1, got {workers}")
-    limit = _resolve_cap(None)
-    if n_max > limit:
-        raise UnsupportedOrder(n_max, limit)
+    if n_max > SUPPORTED_ORDERS[-1]:
+        raise UnsupportedOrder(n_max, SUPPORTED_ORDERS[-1])
     orders = list(range(1, n_max + 1))
-    if workers == 1:
+    # the pool starts all its processes at once, so no more than there are jobs
+    workers = min(workers, len(orders))
+    if workers <= 1:
         return [job(n) for n in orders]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -304,9 +305,9 @@ def _harness_order(n: int, two_sided: bool, bi_skew: bool) -> dict[str, Any]:
         if not in_scope:
             continue
         checked += 1
-        for p in prime_divisors(B.n):
-            if find_subbrace_of_order(B, p) is None:
-                failures.append({"order": n, "iso_index": idx, "prime": p})
+        for e in cauchy_report(B).entries:
+            if e.witness is None:
+                failures.append({"order": n, "iso_index": idx, "prime": e.prime})
     return {"order": n, "checked": checked, "failures": failures}
 
 

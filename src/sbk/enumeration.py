@@ -20,13 +20,12 @@ relabeling, found by branch and bound.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .braces import SkewBrace, _brace
-from .errors import BadInput, UnsupportedOrder
+from .errors import UnsupportedOrder
 from .groups import (
     FiniteGroup,
     Perm,
@@ -42,8 +41,8 @@ from .groups import (
     trivial_group,
 )
 
-DEFAULT_ORDER_CAP = 12
-HARD_ORDER_CAP = 15  # the largest order groups_of_order knows
+# The orders groups_of_order knows, so the orders every catalog covers.
+SUPPORTED_ORDERS = range(1, 16)
 
 
 @dataclass(frozen=True)
@@ -65,9 +64,10 @@ class BraceCatalog:
 
 
 def groups_of_order(n: int) -> list[FiniteGroup]:
-    """One representative per isomorphism class of groups of order n <= 15."""
-    if not 1 <= n <= HARD_ORDER_CAP:
-        raise UnsupportedOrder(n, HARD_ORDER_CAP)
+    """One representative per isomorphism class of groups of each order in
+    SUPPORTED_ORDERS."""
+    if n not in SUPPORTED_ORDERS:
+        raise UnsupportedOrder(n, SUPPORTED_ORDERS[-1])
     if n == 1:
         return [trivial_group()]
     if n in (2, 3, 5, 7, 11, 13):
@@ -103,7 +103,7 @@ def groups_of_order(n: int) -> list[FiniteGroup]:
         return [cyclic_group(14), dihedral_group(14)]
     if n == 15:
         return [cyclic_group(15)]
-    raise UnsupportedOrder(n, HARD_ORDER_CAP)  # pragma: no cover
+    raise UnsupportedOrder(n, SUPPORTED_ORDERS[-1])  # pragma: no cover
 
 
 class _Products(dict):
@@ -356,20 +356,6 @@ def _generators(products: _Products) -> list[int]:
     return gens
 
 
-def _resolve_cap(cap: Optional[int]) -> int:
-    if cap is None:
-        env = os.environ.get("SBK_MAX_ORDER")
-        try:
-            cap = int(env) if env else DEFAULT_ORDER_CAP
-        except ValueError:
-            raise BadInput(f"SBK_MAX_ORDER must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise BadInput(f"SBK_MAX_ORDER must be at least 1, got {cap}")
-    elif cap < 1:
-        raise BadInput(f"cap must be at least 1, got {cap}")
-    return min(cap, HARD_ORDER_CAP)
-
-
 def _brace_from_assignment(
     G: FiniteGroup, auts: Sequence[Perm], assign: Sequence[int]
 ) -> SkewBrace:
@@ -383,7 +369,9 @@ def _brace_from_assignment(
 
 
 @lru_cache(maxsize=None)
-def _catalog(n: int) -> BraceCatalog:
+def all_skew_braces(n: int) -> BraceCatalog:
+    """Catalog of all skew braces of order n up to isomorphism, for n in
+    SUPPORTED_ORDERS; built once per order."""
     groups = groups_of_order(n)
     # Through order 8 each additive block is ordered by the canonical table
     # of its multiplicative group's type, one per group of order n; ties
@@ -413,14 +401,3 @@ def _catalog(n: int) -> BraceCatalog:
         provenance=tuple(provenance),
     )
 
-
-def all_skew_braces(n: int, cap: Optional[int] = None) -> BraceCatalog:
-    """Catalog of all skew braces of order n up to isomorphism.
-
-    The default cap of 12 can be raised with the SBK_MAX_ORDER environment
-    variable or the cap argument, never past 15.
-    """
-    limit = _resolve_cap(cap)
-    if not 1 <= n <= limit:
-        raise UnsupportedOrder(n, limit)
-    return _catalog(n)

@@ -19,8 +19,7 @@ class SkewBraceKitError(Exception):
 
 
 class BadInput(SkewBraceKitError):
-    """Malformed input: JSON payload, table shape, option or environment
-    value."""
+    """Malformed input: JSON payload, table shape or option value."""
 
 
 class GroupTooLarge(SkewBraceKitError):

@@ -113,7 +113,8 @@ def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON and bytes that are not UTF-8
         raise BadInput(f"cannot read JSON from {path}: {exc}") from exc
 
 

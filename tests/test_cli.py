@@ -3,6 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from sbk import cli
 from sbk.braces import from_group, opposite
 from sbk.cli import _analysis_obj, main
 from sbk.enumeration import all_skew_braces
@@ -137,25 +140,60 @@ def test_enumerate_filters(tmp_path, capsys):
 
 
 def test_survey_past_the_cap_with_workers_is_one_error_line():
-    result = run_cli(["survey", "13", "--workers", "2"])
+    result = run_cli(["survey", "16", "--workers", "2"])
     assert result.returncode == 1
     assert result.stdout == ""
-    assert result.stderr == "error: order 13 is outside the supported range 1..12\n"
+    assert result.stderr == "error: order 16 is outside the supported range 1..15\n"
 
 
-def test_non_integer_order_cap_is_an_error(capsys, monkeypatch):
-    monkeypatch.setenv("SBK_MAX_ORDER", "abc")
-    assert main(["survey", "3", "--workers", "1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: SBK_MAX_ORDER must be an integer, got 'abc'\n"
-
-
-def test_order_cap_below_one_is_one_error_line():
-    result = run_cli(["survey", "3"], env={"SBK_MAX_ORDER": "0"})
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not_utf8", "nested_100000"]
+)
+def test_unreadable_file_is_one_error_line(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    result = run_cli(["verify", str(path)])
     assert result.returncode == 1
     assert result.stdout == ""
-    assert result.stderr == "error: SBK_MAX_ORDER must be at least 1, got 0\n"
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot read JSON from {path}: ")
+
+
+def test_pool_is_no_larger_than_the_job_count(capsys, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    for cmd in ("survey", "harness"):
+        assert main([cmd, "3", "--json", "--workers", "1"]) == 0
+        inline = capsys.readouterr().out
+        assert main([cmd, "3", "--json", "--workers", "8"]) == 0
+        assert capsys.readouterr().out == inline
+    assert sizes == [3, 3]
+    # one job or none runs in this process
+    assert main(["survey", "1", "--workers", "8"]) == 0
+    assert main(["survey", "0", "--workers", "8"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "order  index  trivial  almost  abelian  two-sided  bi-skew  witnessed\n"
+        "0 braces surveyed, 0 without a full witness set\n"
+    )
+    assert sizes == [3, 3]
 
 
 def test_zero_workers_is_an_error(capsys):

@@ -12,7 +12,7 @@ from sbk.enumeration import (
     canonical_table,
     groups_of_order,
 )
-from sbk.errors import BadInput, UnsupportedOrder
+from sbk.errors import UnsupportedOrder
 from sbk.groups import (
     automorphism_group,
     cyclic_group,
@@ -162,7 +162,7 @@ def test_prime_order_catalog_is_single_brace(p):
 def test_catalog_entries_are_validated_braces(n):
     # the catalog builds its braces without checks; make_skew_brace checks
     # both group laws and the compatibility law on the stored tables
-    for B in all_skew_braces(n, cap=15).entries:
+    for B in all_skew_braces(n).entries:
         rebuilt = make_skew_brace(
             [list(r) for r in B.add.table], [list(r) for r in B.mul.table]
         )
@@ -174,7 +174,7 @@ def test_catalog_entries_are_validated_braces(n):
 def test_catalog_dedup_soundness(n):
     # the orbits are the isomorphism classes (Guarnieri and Vendramin,
     # Math. Comp. 86 (2017), section 4); an explicit search confirms it
-    entries = all_skew_braces(n, cap=15).entries
+    entries = all_skew_braces(n).entries
     for i, B1 in enumerate(entries):
         for B2 in entries[i + 1 :]:
             assert are_isomorphic_braces(B1, B2) is None
@@ -206,9 +206,7 @@ def test_catalog_is_deterministic():
     first = all_skew_braces(6)
     second = all_skew_braces(6)
     assert first is second  # cached
-    from sbk.enumeration import _catalog
-
-    _catalog.cache_clear()
+    all_skew_braces.cache_clear()
     rebuilt = all_skew_braces(6)
     assert [B.mul.table for B in rebuilt.entries] == [
         B.mul.table for B in first.entries
@@ -279,37 +277,12 @@ def test_catalog_blocks_ordered_by_multiplicative_type(n):
 
 @pytest.mark.parametrize("n", range(1, 16))
 def test_catalog_lambda_maps_match_oracle(n):
-    for B in all_skew_braces(n, cap=15).entries:
+    for B in all_skew_braces(n).entries:
         assert oracles.lambda_maps_problem(B) is None
 
 
 def test_catalog_order_cap():
-    with pytest.raises(UnsupportedOrder):
-        all_skew_braces(13)
-
-
-def test_catalog_env_cap(monkeypatch):
-    monkeypatch.setenv("SBK_MAX_ORDER", "13")
-    assert all_skew_braces(13).count >= 1
-    monkeypatch.setenv("SBK_MAX_ORDER", "99")
-    with pytest.raises(UnsupportedOrder):
-        all_skew_braces(16)
-
-
-def test_catalog_env_cap_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("SBK_MAX_ORDER", "abc")
-    with pytest.raises(BadInput, match="SBK_MAX_ORDER must be an integer"):
-        all_skew_braces(3)
-
-
-@pytest.mark.parametrize("cap", [0, -3])
-def test_catalog_explicit_cap_must_be_at_least_one(cap):
-    with pytest.raises(BadInput, match=f"^cap must be at least 1, got {cap}$"):
-        all_skew_braces(3, cap=cap)
-
-
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_catalog_env_cap_must_be_at_least_one(monkeypatch, value):
-    monkeypatch.setenv("SBK_MAX_ORDER", value)
-    with pytest.raises(BadInput, match=f"SBK_MAX_ORDER must be at least 1, got {value}$"):
-        all_skew_braces(3)
+    assert all_skew_braces(15).count == 1
+    for n in (0, 16):
+        with pytest.raises(UnsupportedOrder, match=f"^order {n} is outside the supported range 1..15$"):
+            all_skew_braces(n)

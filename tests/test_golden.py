@@ -49,8 +49,7 @@ def _run(h, capsys, argv: list[str]) -> None:
     h.update(err.encode())
 
 
-def test_enumerate_out_digest_through_15(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SBK_MAX_ORDER", "15")
+def test_enumerate_out_digest_through_15(tmp_path, capsys):
     h = hashlib.sha256()
     for n in range(1, 16):
         out = tmp_path / f"n{n:02d}"
@@ -61,8 +60,7 @@ def test_enumerate_out_digest_through_15(tmp_path, capsys, monkeypatch):
     assert h.hexdigest() == CATALOG_DIGEST
 
 
-def test_survey_15_digest(capsys, monkeypatch):
-    monkeypatch.setenv("SBK_MAX_ORDER", "15")
+def test_survey_15_digest(capsys):
     h = hashlib.sha256()
     _run(h, capsys, ["survey", "15", "--json", "--workers", "1"])
     assert h.hexdigest() == SURVEY_DIGEST
@@ -106,20 +104,17 @@ def _large_braces():
         yield f"brace_{n1}_{i1}x{n2}_{i2}", B
 
 
-def test_file_commands_digest_through_12(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SBK_MAX_ORDER", "12")
+def test_file_commands_digest_through_12(tmp_path, capsys):
     digest = _file_commands_digest(tmp_path, capsys, _catalog_through(12), FILE_COMMANDS, ["--json"])
     assert digest == FILE_COMMANDS_DIGEST
 
 
-def test_file_commands_text_digest_through_8(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SBK_MAX_ORDER", "8")
+def test_file_commands_text_digest_through_8(tmp_path, capsys):
     digest = _file_commands_digest(tmp_path, capsys, _catalog_through(8), FILE_COMMANDS, [])
     assert digest == FILE_COMMANDS_TEXT_DIGEST
 
 
-def test_analyze_digest_orders_16_to_32(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SBK_MAX_ORDER", "12")
+def test_analyze_digest_orders_16_to_32(tmp_path, capsys):
     digest = _file_commands_digest(tmp_path, capsys, _large_braces(), ("analyze",), ["--json"])
     assert digest == LARGE_ANALYZE_DIGEST
 
@@ -138,7 +133,7 @@ def _isomorphism_inputs():
                 tables.append(oracles.relabel(G.table, sigma))
         yield [[t] for t in tables]
     for n in (6, 8, 12):
-        yield [[B.add.table, B.mul.table] for B in all_skew_braces(n, cap=12).entries]
+        yield [[B.add.table, B.mul.table] for B in all_skew_braces(n).entries]
     c2 = cyclic_group(2)
     yield [[direct_product(direct_product(c2, c2), direct_product(c2, c2)).table]]
 
@@ -162,7 +157,7 @@ def _error_line_braces():
     """Braces of orders 8 to 64: two catalog braces, an almost trivial
     brace of order 16, four products of catalog braces and the trivial
     brace on C2^6, whose additive group needs six generators."""
-    cat = lambda n, i: all_skew_braces(n, cap=12).entries[i]  # noqa: E731
+    cat = lambda n, i: all_skew_braces(n).entries[i]  # noqa: E731
     c2 = cyclic_group(2)
     c2_6 = c2
     for _ in range(5):
@@ -233,9 +228,8 @@ def _corrupted_brace_files(tmp_path):
             yield path
 
 
-def test_error_lines_digest_orders_8_to_64(tmp_path, capsys, monkeypatch):
+def test_error_lines_digest_orders_8_to_64(tmp_path, capsys):
     # pins the first violation each rejection names, in the file's labels
-    monkeypatch.setenv("SBK_MAX_ORDER", "12")
     h = hashlib.sha256()
     for path in _corrupted_brace_files(tmp_path):
         for cmd in ("verify", "ybe"):
@@ -260,7 +254,7 @@ PRODUCT_PAIRS = (
 
 def _catalog_entry(key: str) -> SkewBrace:
     n, i = map(int, key.split("."))
-    return all_skew_braces(n, cap=15).entries[i]
+    return all_skew_braces(n).entries[i]
 
 
 def product_braces():
@@ -292,8 +286,7 @@ def _large_brace_files(tmp_path):
             yield path
 
 
-def test_file_commands_digest_orders_16_to_64(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SBK_MAX_ORDER", "12")
+def test_file_commands_digest_orders_16_to_64(tmp_path, capsys):
     h = hashlib.sha256()
     for path in _large_brace_files(tmp_path):
         for cmd in ("verify", "cauchy", "ybe"):

@@ -67,7 +67,7 @@ def _product(B1: SkewBrace, B2: SkewBrace) -> SkewBrace:
 
 def _large_braces() -> list[SkewBrace]:
     """Products of catalog braces, of orders 16, 24, 32, 48 and 64."""
-    cat = lambda n, i: all_skew_braces(n, cap=12).entries[i]  # noqa: E731
+    cat = lambda n, i: all_skew_braces(n).entries[i]  # noqa: E731
     return [
         _product(cat(4, 3), cat(4, 2)),
         _product(cat(6, 3), cat(4, 3)),
@@ -222,7 +222,7 @@ def _check_law(B: SkewBrace, rng: random.Random) -> int:
 @pytest.mark.parametrize("n", SMALL_ORDERS)
 def test_law_checks_agree_with_full_compatibility_scan(n):
     rng = random.Random(f"law:{n}")
-    failed = sum(_check_law(B, rng) for B in all_skew_braces(n, cap=15).entries)
+    failed = sum(_check_law(B, rng) for B in all_skew_braces(n).entries)
     if n > 2:
         assert failed > 0
 

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from sbk import cli, serialize
+from sbk import cauchy, cli, serialize
 from sbk.braces import classify, from_group
-from sbk.enumeration import all_skew_braces, groups_of_order
+from sbk.cauchy import cauchy_report
+from sbk.enumeration import all_skew_braces, are_isomorphic_braces, groups_of_order
 from sbk.errors import BadInput, IdentityMismatch
 from sbk.groups import cyclic_group, dihedral_group
 from sbk.serialize import (
@@ -19,6 +20,7 @@ from sbk.serialize import (
 )
 from sbk.ybe import to_solution
 
+import oracles
 from test_golden import product_braces
 
 
@@ -64,6 +66,34 @@ def test_brace_loader_normalizes_shared_identity(tmp_path):
     loaded = load_brace(str(path))
     assert loaded.add.table[0] == (0, 1, 2, 3)
     assert classify(loaded).trivial
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_relabeled_catalog_brace_loads_as_the_same_brace(n):
+    # each catalog brace under a seeded relabeling that moves the identity
+    # off index 0, loaded back as a JSON object
+    rng = random.Random(n)
+    for B in all_skew_braces(n).entries:
+        labels = list(range(n))
+        rng.shuffle(labels)
+        if n > 1 and labels[0] == 0:
+            k = rng.randrange(1, n)
+            labels[0], labels[k] = labels[k], labels[0]
+        B2 = brace_from_obj(
+            {
+                "order": n,
+                "add": [list(r) for r in oracles.relabel(B.add.table, labels)],
+                "mul": [list(r) for r in oracles.relabel(B.mul.table, labels)],
+            }
+        )
+        assert classify(B2) == classify(B)
+        f = are_isomorphic_braces(B, B2)
+        assert f is not None and sorted(f) == list(range(n))
+        for a in range(n):
+            for b in range(n):
+                assert f[B.add.table[a][b]] == B2.add.table[f[a]][f[b]]
+                assert f[B.mul.table[a][b]] == B2.mul.table[f[a]][f[b]]
+        assert cauchy_report(B2).all_primes_witnessed == cauchy_report(B).all_primes_witnessed
 
 
 @pytest.mark.parametrize(
@@ -155,8 +185,7 @@ def written(monkeypatch):
     return objs
 
 
-def test_writer_matches_json_on_every_json_command_through_8(tmp_path, written, monkeypatch, capsys):
-    monkeypatch.setenv("SBK_MAX_ORDER", "8")
+def test_writer_matches_json_on_every_json_command_through_8(tmp_path, written, capsys):
     for n in range(1, 9):
         out = tmp_path / f"n{n}"
         assert cli.main(["enumerate", str(n), "--out", str(out)]) == 0
@@ -174,8 +203,10 @@ def test_writer_matches_json_on_every_json_command_through_8(tmp_path, written, 
 
 
 def test_writer_matches_json_on_harness_failures(written, monkeypatch, capsys):
-    # a finder that never finds a witness, so every brace in scope fails
-    monkeypatch.setattr(cli, "find_subbrace_of_order", lambda B, p: None)
+    # a search that never finds a witness, so every brace in scope fails
+    monkeypatch.setattr(
+        cauchy, "find_subbrace_with_strategy", lambda B, p: (None, cauchy.STRATEGY_BRUTE_FORCE)
+    )
     assert cli.main(["harness", "6", "--json", "--workers", "1"]) == 2
     printed = json.loads(capsys.readouterr().out)
     assert printed == written[-1]
