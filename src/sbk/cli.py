@@ -1,9 +1,9 @@
 """Command line front end.
 
 Commands: verify, analyze, cauchy, enumerate, survey, ybe, harness.
-Exit codes: 0 success, 1 invalid input or failed validation, 2 a prime
-witness is missing for a brace in one of the structured classes the
-harness command checks (which would signal a bug).
+Exit codes: 0 success, 1 invalid input (a bad flag too) or failed
+validation, 2 a prime witness is missing for a brace in one of the
+structured classes the harness command checks (which would signal a bug).
 
 Identical invocations produce byte-identical reports: workers only spread
 independent per-order jobs and results are re-sorted before printing.
@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, NoReturn, Optional
 
 from . import serialize
 from .bitset import members
@@ -47,10 +47,17 @@ def _default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises BadInput on a usage error, so it ends in one error line and
+    exit 1 like any bad input: argparse's own exit 2 is the harness
+    violation code. Subparsers are built from the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise BadInput(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sbk", description="Finite skew brace toolkit."
-    )
+    parser = _Parser(prog="sbk", description="Finite skew brace toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="Validate a brace file and print its flags.")
@@ -229,15 +236,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     text = serialize.canonical_dumps(manifest)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for i in selected:
-            payload = serialize.canonical_dumps(
-                serialize.brace_to_obj(catalog.entries[i])
-            )
-            (out / f"brace_{catalog.order:02d}_{i:03d}.json").write_text(
-                payload, encoding="utf-8"
-            )
-        (out / "manifest.json").write_text(text, encoding="utf-8")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for i in selected:
+                payload = serialize.canonical_dumps(
+                    serialize.brace_to_obj(catalog.entries[i])
+                )
+                (out / f"brace_{catalog.order:02d}_{i:03d}.json").write_text(
+                    payload, encoding="utf-8"
+                )
+            (out / "manifest.json").write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise BadInput(f"cannot write to {out}: {exc}") from exc
     _print(text)
     return EXIT_OK
 
@@ -342,8 +352,6 @@ def cmd_harness(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "verify": cmd_verify,
         "analyze": cmd_analyze,
@@ -354,6 +362,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "harness": cmd_harness,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except SkewBraceKitError as exc:
         sys.stderr.write(f"error: {exc}\n")

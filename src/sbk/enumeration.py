@@ -5,14 +5,16 @@ to the regular subgroups of Hol(G), the group of permutations
 x -> g + alpha(x) with alpha an automorphism. A regular subgroup contains
 exactly one element per shift g, so the search assigns an automorphism to
 every shift and propagates the closure constraint
-alpha_{a + alpha_a(b)} = alpha_a o alpha_b; complete assignments are
+alpha_{a + alpha_a(b)} = alpha_a o alpha_b, each product in one order
+only (the proof is in _regular_assignments); complete assignments are
 exactly the regular subgroups. Products of automorphisms are composed as
 the search meets them, so no |Aut| x |Aut| table is built. Two regular
 subgroups conjugate under an automorphism of G give isomorphic braces, so
 the least assignment of each orbit is kept, the orbits found by
-breadth-first search over a few generators of Aut(G). These orbits are
-exactly the isomorphism classes of braces with additive group G
-(Guarnieri and Vendramin, Math. Comp. 86 (2017), section 4), so no
+breadth-first search over a few generators of Aut(G), chosen by the
+greedy routine that chooses a group's generators, groups._spanning. These
+orbits are exactly the isomorphism classes of braces with additive group
+G (Guarnieri and Vendramin, Math. Comp. 86 (2017), section 4), so no
 representative is compared with another. Through order 8 the blocks are
 ordered by a canonical table of the multiplicative group, its least
 relabeling, found by branch and bound.
@@ -30,6 +32,7 @@ from .groups import (
     FiniteGroup,
     Perm,
     _group,
+    _spanning,
     alternating_group_4,
     automorphism_group,
     cyclic_group,
@@ -73,22 +76,22 @@ def groups_of_order(n: int) -> list[FiniteGroup]:
     if n in (2, 3, 5, 7, 11, 13):
         return [cyclic_group(n)]
     if n == 4:
-        c2 = cyclic_group(2)
-        return [cyclic_group(4), direct_product(c2, c2)]
+        C2 = cyclic_group(2)
+        return [cyclic_group(4), direct_product(C2, C2)]
     if n == 6:
         return [cyclic_group(6), dihedral_group(6)]
     if n == 8:
-        c2 = cyclic_group(2)
+        C2 = cyclic_group(2)
         return [
             cyclic_group(8),
-            direct_product(cyclic_group(4), c2),
-            direct_product(direct_product(c2, c2), c2),
+            direct_product(cyclic_group(4), C2),
+            direct_product(direct_product(C2, C2), C2),
             dihedral_group(8),
             dicyclic_group(8),
         ]
     if n == 9:
-        c3 = cyclic_group(3)
-        return [cyclic_group(9), direct_product(c3, c3)]
+        C3 = cyclic_group(3)
+        return [cyclic_group(9), direct_product(C3, C3)]
     if n == 10:
         return [cyclic_group(10), dihedral_group(10)]
     if n == 12:
@@ -107,34 +110,67 @@ def groups_of_order(n: int) -> list[FiniteGroup]:
 
 
 class _Products(dict):
-    """auts[i] o auts[j] as an index, under the key i * len(auts) + j.
+    """p o auts[j] as an index, under the key j: one row of the product
+    table of auts, whose rows share index.
 
-    A product is composed the first time it is looked up and kept for the
+    An entry is composed the first time it is looked up and kept for the
     rest of one search, so no |Aut| x |Aut| table is built.
     """
 
-    def __init__(self, auts: Sequence[Perm]) -> None:
+    def __init__(self, p: Perm, auts: Sequence[Perm], index: dict[Perm, int]) -> None:
         super().__init__()
+        self.p = p
         self.auts = auts
-        self.index = {p: i for i, p in enumerate(auts)}
+        self.index = index
 
-    def __missing__(self, key: int) -> int:
-        i, j = divmod(key, len(self.auts))
-        p = self.auts[i]
-        r = self[key] = self.index[tuple(p[x] for x in self.auts[j])]
+    def __missing__(self, j: int) -> int:
+        p = self.p
+        r = self[j] = self.index[tuple(p[x] for x in self.auts[j])]
         return r
+
+
+def _product_rows(auts: Sequence[Perm]) -> tuple[list[_Products], dict[Perm, int]]:
+    """Rows amul[i][j] = auts[i] o auts[j], and the index they share."""
+    index = {p: i for i, p in enumerate(auts)}
+    return [_Products(p, auts, index) for p in auts], index
 
 
 def _regular_assignments(
     G: FiniteGroup, auts: Sequence[Perm]
 ) -> list[tuple[int, ...]]:
     """All maps shift -> automorphism index whose graph is a regular
-    subgroup of Hol(G), in lexicographic search order."""
+    subgroup of Hol(G), in lexicographic search order.
+
+    propagate computes each product x * s, never also s * x, with x the
+    pair just popped and s any pair already assigned. That is enough.
+    Before a new pair gamma is placed, the assigned pairs form a subgroup
+    K of Hol(G); let Y = <K, gamma>. Right products by K and gamma,
+    starting from gamma and never stepping into K, reach every element of
+    Y outside K. Take the digraph on the left cosets of K in Y with arcs
+    yK -> yk gamma K (k in K). Left multiplication by Y acts transitively
+    on its vertices and on its arcs, and it is strongly connected, since K
+    and gamma generate Y. For an arc (v, u) let R(v, u) be the vertices
+    reachable from u without passing v; all these sets have one size r.
+    Let A = R(K, gamma K), and suppose some vertex other than K lies
+    outside A. A path from K to it leaves K for the last time along an
+    arc (K, u'), with u' not in A. If gamma K is in R(K, u'), then A is in
+    R(K, u'), of the same size, so u' is in A: impossible. Otherwise K and
+    R(K, u') are r + 1 vertices reachable from K without passing gamma K.
+    A shortest path from gamma K back to K starts with an arc (gamma K, w),
+    and R(gamma K, w) holds all r + 1 of them: impossible. Inside a
+    reached coset zK each zk is the product z * k, and an arc is
+    (zk) * gamma.
+
+    So both orders compute only products in Y, and one order alone
+    reaches all of Y. Each meets a clash, or a shift outside its
+    candidates, exactly when the other does; on success both leave the
+    assigned set equal to Y, with the same automorphism at each shift.
+    The backtracking visits the same tree, and the results are identical.
+    """
     n = G.n
-    k = len(auts)
     add = G.table
-    amul = _Products(auts)
-    id_idx = amul.index[tuple(range(n))]
+    amul, index = _product_rows(auts)
+    id_idx = index[tuple(range(n))]
 
     # Every non-identity element of a regular subgroup moves every point,
     # so each shift only admits automorphisms giving a fixed-point-free map.
@@ -158,9 +194,10 @@ def _regular_assignments(
             a = queue.pop()
             pa = auts[assign[a]]
             row_a = add[a]
+            prod_a = amul[assign[a]]
             for b in [x for x in range(n) if assign[x] >= 0]:
                 c = row_a[pa[b]]
-                req = amul[assign[a] * k + assign[b]]
+                req = prod_a[assign[b]]
                 cur = assign[c]
                 if cur >= 0:
                     if cur != req:
@@ -170,20 +207,6 @@ def _regular_assignments(
                 else:
                     assign[c] = req
                     queue.append(c)
-                if b == a:
-                    continue
-                pb = auts[assign[b]]
-                c2 = add[b][pb[a]]
-                req2 = amul[assign[b] * k + assign[a]]
-                cur2 = assign[c2]
-                if cur2 >= 0:
-                    if cur2 != req2:
-                        return False
-                elif req2 not in candidates[c2]:
-                    return False
-                else:
-                    assign[c2] = req2
-                    queue.append(c2)
         return True
 
     def backtrack(assign: list[int]) -> None:
@@ -301,14 +324,14 @@ def _orbit_representatives(
     Group Theory, 2005, section 4.1). Regular assignments map to regular
     assignments, so every orbit stays inside the set searched.
     """
-    products = _Products(auts)
+    rows, index = _product_rows(auts)
     actions = []
-    for f in _generators(products):
+    for f in _spanning(rows, index[tuple(range(len(auts[0])))]):
         phi = auts[f]
         inv = [0] * len(phi)
         for x, y in enumerate(phi):
             inv[y] = x
-        conj = [products.index[tuple(phi[p[x]] for x in inv)] for p in auts]
+        conj = [index[tuple(phi[p[x]] for x in inv)] for p in auts]
         actions.append((phi, conj))
 
     seen: set[tuple[int, ...]] = set()
@@ -329,31 +352,6 @@ def _orbit_representatives(
                     orbit.append(image)
         reps.append(min(orbit))
     return sorted(reps)
-
-
-def _generators(products: _Products) -> list[int]:
-    """Indices of a few automorphisms generating all of them, chosen
-    greedily in order: one is kept only if the group generated so far
-    lacks it."""
-    k = len(products.auts)
-    ident = products.index[tuple(range(len(products.auts[0])))]
-    gens: list[int] = []
-    group = {ident}
-    for f in range(k):
-        if len(group) == k:
-            break
-        if f in group:
-            continue
-        gens.append(f)
-        group = {ident}
-        frontier = [ident]
-        for e in frontier:
-            for g in gens:
-                c = products[e * k + g]
-                if c not in group:
-                    group.add(c)
-                    frontier.append(c)
-    return gens
 
 
 def _brace_from_assignment(

@@ -447,6 +447,80 @@ def orbit_minima_bruteforce(assignments, auts) -> list[tuple[int, ...]]:
     )
 
 
+def regular_assignments_both_orders(table, auts) -> list[tuple[int, ...]]:
+    """Every map shift -> automorphism index whose graph is a regular
+    subgroup of Hol(G), in lexicographic search order, for G given by its
+    table. Each product of the popped pair a and an assigned pair b is
+    propagated in both orders, a * b and b * a: the loop
+    enumeration._regular_assignments was written from, kept as the
+    reference for its one-order form. Products are composed directly."""
+    n = len(table)
+    index = {p: i for i, p in enumerate(auts)}
+    products: dict[tuple[int, int], int] = {}
+
+    def compose(i: int, j: int) -> int:
+        if (i, j) not in products:
+            p = auts[i]
+            products[i, j] = index[tuple(p[x] for x in auts[j])]
+        return products[i, j]
+
+    id_idx = index[tuple(range(n))]
+    candidates = [{id_idx}] + [
+        {i for i, p in enumerate(auts) if all(table[a][p[x]] != x for x in range(n))}
+        for a in range(1, n)
+    ]
+    results: list[tuple[int, ...]] = []
+
+    def propagate(assign: list[int], queue: list[int]) -> bool:
+        while queue:
+            a = queue.pop()
+            pa = auts[assign[a]]
+            for b in [x for x in range(n) if assign[x] >= 0]:
+                c = table[a][pa[b]]
+                req = compose(assign[a], assign[b])
+                cur = assign[c]
+                if cur >= 0:
+                    if cur != req:
+                        return False
+                elif req not in candidates[c]:
+                    return False
+                else:
+                    assign[c] = req
+                    queue.append(c)
+                if b == a:
+                    continue
+                pb = auts[assign[b]]
+                c2 = table[b][pb[a]]
+                req2 = compose(assign[b], assign[a])
+                cur2 = assign[c2]
+                if cur2 >= 0:
+                    if cur2 != req2:
+                        return False
+                elif req2 not in candidates[c2]:
+                    return False
+                else:
+                    assign[c2] = req2
+                    queue.append(c2)
+        return True
+
+    def backtrack(assign: list[int]) -> None:
+        if -1 not in assign:
+            results.append(tuple(assign))
+            return
+        a = assign.index(-1)
+        for phi in sorted(candidates[a]):
+            trial = assign.copy()
+            trial[a] = phi
+            if propagate(trial, [a]):
+                backtrack(trial)
+
+    init = [-1] * n
+    init[0] = id_idx
+    if propagate(init, [0]):
+        backtrack(init)
+    return results
+
+
 def sylow_count_nilpotency(G) -> bool:
     """Nilpotency by the unique-Sylow criterion, for cross-checking the
     central series computation."""

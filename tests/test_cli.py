@@ -146,6 +146,15 @@ def test_survey_past_the_cap_with_workers_is_one_error_line():
     assert result.stderr == "error: order 16 is outside the supported range 1..15\n"
 
 
+def _one_error_line(result, prefix="error: "):
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(prefix)
+
+
 @pytest.mark.parametrize(
     "content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not_utf8", "nested_100000"]
 )
@@ -153,12 +162,38 @@ def test_unreadable_file_is_one_error_line(tmp_path, content):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     result = run_cli(["verify", str(path)])
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert "Traceback" not in result.stderr
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(f"error: cannot read JSON from {path}: ")
+    _one_error_line(result, f"error: cannot read JSON from {path}: ")
+
+
+# argparse's own exit code 2 would read as a harness violation
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["survey", "abc"],
+        ["harness", "5", "--bogus"],
+        ["enumerate"],
+        ["frobnicate"],
+        ["survey", "3", "--workers", "x"],
+    ],
+    ids=["bad_int", "unknown_flag", "missing_order", "unknown_command", "bad_workers"],
+)
+def test_bad_usage_is_one_error_line_and_exit_1(args):
+    _one_error_line(run_cli(args))
+
+
+def test_help_exits_0():
+    result = run_cli(["--help"])
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: sbk")
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_enumerate_out_blocked_by_a_file_is_one_error_line(tmp_path, below):
+    path = tmp_path / "file"
+    path.write_text("", encoding="utf-8")
+    out = path / "sub" if below else path
+    result = run_cli(["enumerate", "3", "--out", str(out)])
+    _one_error_line(result, f"error: cannot write to {out}: ")
 
 
 def test_pool_is_no_larger_than_the_job_count(capsys, monkeypatch):

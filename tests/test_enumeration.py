@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sbk.bitset import members
 from sbk.braces import classify, from_group, make_skew_brace
 from sbk.enumeration import (
     _brace_from_assignment,
@@ -16,10 +17,13 @@ from sbk.errors import UnsupportedOrder
 from sbk.groups import (
     automorphism_group,
     cyclic_group,
+    dicyclic_group,
     dihedral_group,
     direct_product,
+    generated_subgroup,
     is_isomorphic,
     make_group,
+    subgroups,
 )
 
 import oracles
@@ -235,6 +239,69 @@ def test_canonical_table_matches_bruteforce(n):
             tables.append(oracles.relabel(G.table, sigma))
         for table in tables:
             assert canonical_table(table) == oracles.canonical_form(table)
+
+
+GROUPS_TO_15 = [G for n in range(1, 16) for G in groups_of_order(n)]
+C2xC2 = direct_product(cyclic_group(2), cyclic_group(2))
+C4xC4 = direct_product(cyclic_group(4), cyclic_group(4))
+
+
+# C2^4 is left out: its search does not finish.
+@pytest.mark.parametrize(
+    "G",
+    GROUPS_TO_15
+    + [
+        C4xC4,
+        dihedral_group(16),
+        dicyclic_group(16),
+        cyclic_group(18),
+        direct_product(cyclic_group(3), cyclic_group(6)),
+        dihedral_group(18),
+        dihedral_group(20),
+        dicyclic_group(20),
+        direct_product(cyclic_group(5), cyclic_group(5)),
+        dihedral_group(24),
+        cyclic_group(27),
+    ],
+    ids=lambda G: f"{G.n}_{G.name}",
+)
+def test_regular_assignments_match_both_orders(G):
+    auts = automorphism_group(G)
+    assert _regular_assignments(G, auts) == oracles.regular_assignments_both_orders(
+        G.table, auts
+    )
+
+
+def _right_closure_outside(G, K, gamma):
+    """The elements that right products by K and gamma reach from gamma
+    without stepping into K, as a bitmask."""
+    steps = members(K) + [gamma]
+    reached = 1 << gamma
+    frontier = [gamma]
+    while frontier:
+        row = G.table[frontier.pop()]
+        for s in steps:
+            c = row[s]
+            if not (K | reached) >> c & 1:
+                reached |= 1 << c
+                frontier.append(c)
+    return reached
+
+
+@pytest.mark.parametrize(
+    "G",
+    GROUPS_TO_15 + [direct_product(C2xC2, C2xC2), C4xC4],
+    ids=lambda G: f"{G.n}_{G.name}",
+)
+def test_one_product_order_reaches_the_join(G):
+    # the lemma behind _regular_assignments: from gamma, right products by
+    # K and gamma that never step into K reach all of <K, gamma> outside K
+    for K in subgroups(G):
+        for gamma in range(G.n):
+            if K >> gamma & 1:
+                continue
+            join = generated_subgroup(G, members(K) + [gamma])
+            assert _right_closure_outside(G, K, gamma) == join & ~K
 
 
 @pytest.mark.parametrize("n", range(1, 16))
