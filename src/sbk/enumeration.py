@@ -5,19 +5,22 @@ to the regular subgroups of Hol(G), the group of permutations
 x -> g + alpha(x) with alpha an automorphism. A regular subgroup contains
 exactly one element per shift g, so the search assigns an automorphism to
 every shift and propagates the closure constraint
-alpha_{a + alpha_a(b)} = alpha_a o alpha_b, each product in one order
-only (the proof is in _regular_assignments); complete assignments are
-exactly the regular subgroups. Products of automorphisms are composed as
-the search meets them, so no |Aut| x |Aut| table is built. Two regular
-subgroups conjugate under an automorphism of G give isomorphic braces, so
-the least assignment of each orbit is kept, the orbits found by
-breadth-first search over a few generators of Aut(G), chosen by the
-greedy routine that chooses a group's generators, groups._spanning. These
-orbits are exactly the isomorphism classes of braces with additive group
-G (Guarnieri and Vendramin, Math. Comp. 86 (2017), section 4), so no
-representative is compared with another. Through order 8 the blocks are
-ordered by a canonical table of the multiplicative group, its least
-relabeling, found by branch and bound.
+alpha_{a + alpha_a(b)} = alpha_a o alpha_b, with b only over the shifts
+placed at branch points, which generate the subgroup (the proof is in
+_regular_assignments); complete assignments are exactly the regular
+subgroups. Products of automorphisms are composed as the search meets
+them, so no |Aut| x |Aut| table is built. Two regular subgroups conjugate
+under an automorphism of G give isomorphic braces, so the search branches
+once per class of automorphisms under the automorphisms that fix its
+earlier choices: it lists some regular subgroups, at least one in every
+orbit, not all of them. Of the orbits it meets, the least assignment of
+each is kept, the orbits found by breadth-first search over a few
+generators of Aut(G), chosen by the greedy routine that chooses a group's
+generators, groups._spanning. These orbits are exactly the isomorphism
+classes of braces with additive group G (Guarnieri and Vendramin, Math.
+Comp. 86 (2017), section 4), so no representative is compared with
+another. Through order 8 the blocks are ordered by a canonical table of
+the multiplicative group, its least relabeling, found by branch and bound.
 """
 
 from __future__ import annotations
@@ -138,66 +141,79 @@ def _product_rows(auts: Sequence[Perm]) -> tuple[list[_Products], dict[Perm, int
 def _regular_assignments(
     G: FiniteGroup, auts: Sequence[Perm]
 ) -> list[tuple[int, ...]]:
-    """All maps shift -> automorphism index whose graph is a regular
-    subgroup of Hol(G), in lexicographic search order.
+    """Maps shift -> automorphism index whose graph is a regular subgroup
+    of Hol(G), at least one in every Aut(G)-orbit, in lexicographic search
+    order.
 
-    propagate computes each product x * s, never also s * x, with x the
-    pair just popped and s any pair already assigned. That is enough.
-    Before a new pair gamma is placed, the assigned pairs form a subgroup
-    K of Hol(G); let Y = <K, gamma>. Right products by K and gamma,
-    starting from gamma and never stepping into K, reach every element of
-    Y outside K. Take the digraph on the left cosets of K in Y with arcs
-    yK -> yk gamma K (k in K). Left multiplication by Y acts transitively
-    on its vertices and on its arcs, and it is strongly connected, since K
-    and gamma generate Y. For an arc (v, u) let R(v, u) be the vertices
-    reachable from u without passing v; all these sets have one size r.
-    Let A = R(K, gamma K), and suppose some vertex other than K lies
-    outside A. A path from K to it leaves K for the last time along an
-    arc (K, u'), with u' not in A. If gamma K is in R(K, u'), then A is in
-    R(K, u'), of the same size, so u' is in A: impossible. Otherwise K and
-    R(K, u') are r + 1 vertices reachable from K without passing gamma K.
-    A shortest path from gamma K back to K starts with an arc (gamma K, w),
-    and R(gamma K, w) holds all r + 1 of them: impossible. Inside a
-    reached coset zK each zk is the product z * k, and an arc is
-    (zk) * gamma.
+    propagate multiplies each assigned pair on the right only by the
+    steps, the pairs placed at branch points on this branch. That is
+    enough. Let Y be the subgroup of Hol(G) that the steps generate; every
+    product computed lies in Y. When propagate meets no clash, the assigned
+    pairs hold the identity and are closed under right products by the
+    steps, so they hold Y, since in a finite group every element is a
+    product of generators. So propagate succeeds exactly when Y has at most
+    one element per shift, each with an allowed automorphism, and then
+    leaves Y assigned: the outcome of multiplying every pair of assigned
+    elements, so the tree and the results are the same.
 
-    So both orders compute only products in Y, and one order alone
-    reaches all of Y. Each meets a clash, or a shift outside its
-    candidates, exactly when the other does; on success both leave the
-    assigned set equal to Y, with the same automorphism at each shift.
-    The backtracking visits the same tree, and the results are identical.
+    backtrack branches once per stabilizer class (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, section 4.1). f in
+    Aut(G) sends an assignment A to f.A: f(b) -> f o A(b) o f^-1. backtrack
+    carries H, the f that fix every shift branched on so far and commute
+    with the automorphism chosen there. For f in H, f.A agrees with A at
+    those shifts, so it holds the pairs chosen there and the subgroup they
+    generate: the node's whole partial assignment. At the next shift a,
+    each f in H_a = {f in H : f(a) = a} therefore sends a completion below
+    the node with phi at a to one with f o phi o f^-1 at a. So only the
+    least candidate of each H_a-class is branched on, and the child's H is
+    the centralizer of that phi in H_a. Every Aut(G)-orbit with a member
+    below the node still has one below a branch taken, and the result is a
+    subsequence of the list that branching on every candidate gives.
     """
     n = G.n
     add = G.table
     amul, index = _product_rows(auts)
     id_idx = index[tuple(range(n))]
+    inverse = []
+    for p in auts:
+        q = [0] * n
+        for x, y in enumerate(p):
+            q[y] = x
+        inverse.append(index[tuple(q)])
 
     # Every non-identity element of a regular subgroup moves every point,
     # so each shift only admits automorphisms giving a fixed-point-free map.
-    candidates: list[set[int]] = []
-    for a in range(n):
-        if a == 0:
-            candidates.append({id_idx})
-            continue
-        row = add[a]
-        ok = {
-            i
-            for i, p in enumerate(auts)
-            if all(row[p[x]] != x for x in range(n))
-        }
-        candidates.append(ok)
+    # x -> a + p(x) fixes x exactly when a = x - p(x).
+    neg = G.inv
+    candidates: list[set[int]] = [set() for _ in range(n)]
+    for i, p in enumerate(auts):
+        fixing = {add[x][neg[p[x]]] for x in range(n)}
+        for a in range(1, n):
+            if a not in fixing:
+                candidates[a].add(i)
+    candidates[0] = {id_idx}
 
     results: list[tuple[int, ...]] = []
 
-    def propagate(assign: list[int], queue: list[int]) -> bool:
-        while queue:
-            a = queue.pop()
-            pa = auts[assign[a]]
-            row_a = add[a]
-            prod_a = amul[assign[a]]
-            for b in [x for x in range(n) if assign[x] >= 0]:
-                c = row_a[pa[b]]
-                req = prod_a[assign[b]]
+    def propagate(
+        assign: list[int], known: list[int], steps: list[int], a: int
+    ) -> bool:
+        # Every step has acted on each shift in known; a was just assigned.
+        done = len(known)
+        known.append(a)
+        steps.append(a)
+        new = [a]
+        i = 0
+        while i < len(known):
+            x = known[i]
+            ss = new if i < done else steps
+            i += 1
+            px = auts[assign[x]]
+            row_x = add[x]
+            prod_x = amul[assign[x]]
+            for s in ss:
+                c = row_x[px[s]]
+                req = prod_x[assign[s]]
                 cur = assign[c]
                 if cur >= 0:
                     if cur != req:
@@ -206,25 +222,38 @@ def _regular_assignments(
                     return False
                 else:
                     assign[c] = req
-                    queue.append(c)
+                    known.append(c)
         return True
 
-    def backtrack(assign: list[int]) -> None:
+    def backtrack(
+        assign: list[int], known: list[int], steps: list[int], H: list[int]
+    ) -> None:
         try:
             a = assign.index(-1)
         except ValueError:
             results.append(tuple(assign))
             return
+        H_a = [f for f in H if auts[f][a] == a]
+        met: set[int] = set()
         for phi in sorted(candidates[a]):
+            if phi in met:
+                continue
+            centralizer = []
+            for f in H_a:
+                conj = amul[amul[f][phi]][inverse[f]]
+                met.add(conj)
+                if conj == phi:
+                    centralizer.append(f)
             trial = assign.copy()
             trial[a] = phi
-            if propagate(trial, [a]):
-                backtrack(trial)
+            known2 = known.copy()
+            steps2 = steps.copy()
+            if propagate(trial, known2, steps2, a):
+                backtrack(trial, known2, steps2, centralizer)
 
     init = [-1] * n
     init[0] = id_idx
-    if propagate(init, [0]):
-        backtrack(init)
+    backtrack(init, [0], [], list(range(len(auts))))
     return results
 
 
@@ -321,8 +350,8 @@ def _orbit_representatives(
     f^-1. The orbits are found by breadth-first search over a few
     generators of Aut(G), each acting through one conjugation table on
     automorphism indices (Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 2005, section 4.1). Regular assignments map to regular
-    assignments, so every orbit stays inside the set searched.
+    Group Theory, 2005, section 4.1). An orbit is grown from its first
+    member in assignments, so assignments need not hold whole orbits.
     """
     rows, index = _product_rows(auts)
     actions = []

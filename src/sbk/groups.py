@@ -295,26 +295,35 @@ def subgroups(G: FiniteGroup) -> list[ElementSet]:
     """All subgroups, sorted by size then by member sequence.
 
     Cyclic subgroups seed the search; the lattice is completed by joining
-    each known subgroup with each cyclic seed until no new subgroup
+    each known subgroup H with elements outside it until no new subgroup
     appears. Every subgroup is a join of cyclic ones, so this is complete.
-    Each subgroup keeps the generators it was found with (its parent's
-    plus the seed's), so a join is closed from a few generators rather
-    than from all members.
+    Since <H, x> = <H, hx> for h in H, one x per right coset Hx is joined:
+    x is walked upward, and an x in a coset already met is skipped. Each
+    subgroup keeps the generators it was found with (its parent's plus x),
+    so a join is closed from a few generators rather than from all members;
+    a join with an x whose cyclic subgroup holds H is that cyclic subgroup.
     """
+    table = G.table
+    cyclic = [generated_subgroup(G, [x]) for x in G.elements()]
     gens_of: dict[ElementSet, list[int]] = {}
-    for x in G.elements():
-        gens_of.setdefault(generated_subgroup(G, [x]), [x])
-    cyclics = sorted(gens_of)
-    frontier = cyclics
+    for x, cyc in enumerate(cyclic):
+        gens_of.setdefault(cyc, [x])
+    frontier = sorted(gens_of)
     while frontier:
         new: list[ElementSet] = []
         for sub in frontier:
             sub_gens = gens_of[sub]
-            for cyc in cyclics:
-                if cyc & ~sub == 0:
+            hs = members(sub)
+            covered = sub
+            for x in G.elements():
+                if covered >> x & 1:
                     continue
-                gens = sub_gens + gens_of[cyc]
-                join = generated_subgroup(G, gens)
+                for h in hs:
+                    covered |= 1 << table[h][x]
+                gens = sub_gens + [x]
+                # <H, x> is <x> when H lies in <x>, as the trivial H does
+                cyc = cyclic[x]
+                join = cyc if sub & ~cyc == 0 else generated_subgroup(G, gens)
                 if join not in gens_of:
                     gens_of[join] = gens
                     new.append(join)
@@ -448,12 +457,52 @@ def group_properties(G: FiniteGroup) -> GroupProperties:
 # ---------------------------------------------------------------------------
 # Isomorphism machinery shared with the skew brace layer.  A map between two
 # structures carrying k parallel Cayley tables is searched by backtracking on
-# images of greedily chosen generators, pruned by per-element order tuples.
+# images of greedily chosen generators, pruned by per-element order tuples,
+# and checked only on products by those generators (table_isomorphisms).
 # ---------------------------------------------------------------------------
+
+# A table's span of the steps, grown as steps are added: the mask and list
+# of the elements reached from 0 by right products, and how many steps they
+# have met.
+_Span = tuple[int, list[int], int]
 
 
 def _order_profile(tables: Sequence[Sequence[Sequence[int]]], n: int) -> list[tuple[int, ...]]:
     return [tuple(_order_in_table(t, x) for t in tables) for x in range(n)]
+
+
+def _span_gap(
+    tables: Sequence[Sequence[Sequence[int]]],
+    spans: list[_Span],
+    steps: Sequence[int],
+    known: Sequence[int],
+) -> list[int]:
+    """[x] for the least x in known outside some table's span of the steps,
+    checking the tables in turn; [] when every span is all of known, which
+    is closed under right products by the steps in every table.
+
+    Each span only grows along a branch, so it is extended in place: the
+    steps it has not met act on the elements it holds, every step on the
+    elements reached since.
+    """
+    for t, table in enumerate(tables):
+        mask, reached, k = spans[t]
+        new = steps[k:]
+        done = len(reached)
+        i = 0
+        while i < len(reached):
+            row = table[reached[i]]
+            ss = new if i < done else steps
+            i += 1
+            for s in ss:
+                c = row[s]
+                if not mask >> c & 1:
+                    mask |= 1 << c
+                    reached.append(c)
+        spans[t] = (mask, reached, len(steps))
+        if len(reached) < len(known):
+            return [min(x for x in known if not mask >> x & 1)]
+    return []
 
 
 def table_isomorphisms(
@@ -467,6 +516,26 @@ def table_isomorphisms(
     Each next generator is the unmapped element of largest order profile,
     least index on ties, so it lies outside the substructure generated so
     far.
+
+    A map f is checked on generator steps only: propagate maps x * s in
+    every table, for each mapped x and each step s, the steps being the
+    generators placed on this branch. That is enough. Let M be the mapped
+    set, and suppose f(x * s) = f(x) * f(s) for every x in M and every s
+    in a set S that generates M in a table. In a finite group every y in M
+    is a word s_1 ... s_k over S, and by induction on k
+
+        f(x * y) = f(x * s_1 ... s_(k-1)) * f(s_k) = f(x) * f(s_1) ... f(s_k);
+
+    for x = 0 this reads f(y) = f(s_1) ... f(s_k), so f(x * y) = f(x) * f(y)
+    for every x and y in M. With one table, M is the closure of {0} under
+    right products by the steps, which is the subgroup they generate. With
+    several, M is closed under right products by the steps in each table,
+    but a table's span of the steps can be smaller than M; then the least
+    element of M outside it becomes a step as well (_span_gap), until every
+    span is M. Either way M ends as a subgroup of every table: the
+    substructure generated by the placed generators, as when every pair of
+    mapped elements was checked, so the generators, the pruning and the
+    results are the same. With one table the span check is skipped.
     """
     n = len(src_tables[0])
     if len(dst_tables[0]) != n:
@@ -480,39 +549,65 @@ def table_isomorphisms(
     candidates: dict[tuple[int, ...], list[int]] = {}
     for y in range(n):
         candidates.setdefault(dst_profile[y], []).append(y)
+    pairs = list(zip(src_tables, dst_tables))
+    several = len(pairs) > 1
 
     results: list[Perm] = []
 
-    def propagate(fwd: list[int], used: list[bool], start: int) -> bool:
-        queue = [start]
-        known = [x for x in range(n) if fwd[x] >= 0]
-        while queue:
-            a = queue.pop()
-            for b in list(known):
-                for ts, td in zip(src_tables, dst_tables):
-                    for (c, d) in (
-                        (ts[a][b], td[fwd[a]][fwd[b]]),
-                        (ts[b][a], td[fwd[b]][fwd[a]]),
-                    ):
+    def propagate(
+        fwd: list[int],
+        used: list[bool],
+        known: list[int],
+        steps: list[int],
+        spans: list[_Span],
+        g: int,
+    ) -> bool:
+        # Every step has met each element of known; g is mapped and new.
+        done = len(known)
+        known.append(g)
+        new = [g]
+        while True:
+            steps.extend(new)
+            i = 0
+            while i < len(known):
+                x = known[i]
+                ss = new if i < done else steps
+                i += 1
+                for ts, td in pairs:
+                    row = ts[x]
+                    row_f = td[fwd[x]]
+                    for s in ss:
+                        c = row[s]
+                        d = row_f[fwd[s]]
                         fc = fwd[c]
                         if fc >= 0:
                             if fc != d:
                                 return False
+                        elif used[d]:
+                            return False
                         else:
-                            if used[d]:
-                                return False
                             fwd[c] = d
                             used[d] = True
                             known.append(c)
-                            queue.append(c)
-        return True
+            if not several:
+                return True
+            new = _span_gap(src_tables, spans, steps, known)
+            if not new:
+                return True
+            done = len(known)
 
-    # propagate checks every pair of mapped elements in both orders, so the
-    # mapped set is closed: the substructure generated by the generators
-    # placed so far. The mapped set only grows along a branch, so the next
+    # After propagate the mapped set is the substructure generated by the
+    # generators placed so far. It only grows along a branch, so the next
     # generator comes after the last one in `order`; once nothing is left
     # unmapped, the map is an isomorphism with nothing to verify.
-    def search(i: int, fwd: list[int], used: list[bool]) -> bool:
+    def search(
+        i: int,
+        fwd: list[int],
+        used: list[bool],
+        known: list[int],
+        steps: list[int],
+        spans: list[_Span],
+    ) -> bool:
         while i < len(order) and fwd[order[i]] >= 0:
             i += 1
         if i == len(order):
@@ -526,7 +621,12 @@ def table_isomorphisms(
             used2 = used.copy()
             fwd2[g] = img
             used2[img] = True
-            if propagate(fwd2, used2, g) and search(i + 1, fwd2, used2):
+            known2 = known.copy()
+            steps2 = steps.copy()
+            spans2 = [(mask, reached.copy(), k) for mask, reached, k in spans]
+            if propagate(fwd2, used2, known2, steps2, spans2, g) and search(
+                i + 1, fwd2, used2, known2, steps2, spans2
+            ):
                 return True
         return False
 
@@ -534,7 +634,8 @@ def table_isomorphisms(
     used0 = [False] * n
     fwd0[0] = 0
     used0[0] = True
-    search(0, fwd0, used0)
+    spans0 = [(1, [0], 0) for _ in src_tables] if several else []
+    search(0, fwd0, used0, [0], [], spans0)
     return results
 
 

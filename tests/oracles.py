@@ -410,15 +410,25 @@ def soluble_bruteforce(B) -> bool:
     return full == 1
 
 
-def automorphisms_bruteforce(G) -> list[tuple[int, ...]]:
-    n = G.n
-    t = G.table
+def isomorphisms_bruteforce(src_tables, dst_tables) -> list[tuple[int, ...]]:
+    """Every bijection fixing 0 that carries each source table onto the
+    destination table beside it, checked on every product, sorted."""
+    n = len(src_tables[0])
     out = []
     for tail in itertools.permutations(range(1, n)):
         p = (0,) + tail
-        if all(p[t[a][b]] == t[p[a]][p[b]] for a in range(n) for b in range(n)):
+        if all(
+            p[s[a][b]] == d[p[a]][p[b]]
+            for s, d in zip(src_tables, dst_tables)
+            for a in range(n)
+            for b in range(n)
+        ):
             out.append(p)
     return out
+
+
+def automorphisms_bruteforce(G) -> list[tuple[int, ...]]:
+    return isomorphisms_bruteforce([G.table], [G.table])
 
 
 def conjugate_assignment(assign, f, auts, index) -> tuple[int, ...]:
@@ -451,9 +461,10 @@ def regular_assignments_both_orders(table, auts) -> list[tuple[int, ...]]:
     """Every map shift -> automorphism index whose graph is a regular
     subgroup of Hol(G), in lexicographic search order, for G given by its
     table. Each product of the popped pair a and an assigned pair b is
-    propagated in both orders, a * b and b * a: the loop
-    enumeration._regular_assignments was written from, kept as the
-    reference for its one-order form. Products are composed directly."""
+    propagated in both orders, a * b and b * a, and every candidate is
+    branched on: the full listing, kept as the reference for
+    enumeration._regular_assignments, which lists a subsequence of it that
+    meets every Aut(G)-orbit. Products are composed directly."""
     n = len(table)
     index = {p: i for i, p in enumerate(auts)}
     products: dict[tuple[int, int], int] = {}

@@ -56,12 +56,12 @@ def test_groups_of_order_cap():
 
 
 def regular_braces(G):
-    """One brace per regular subgroup of Hol(G), in search
-    order: the catalog's candidates before orbit reduction."""
+    """One brace per regular subgroup of Hol(G), in search order, from the
+    oracle's full listing: the search itself keeps only some of them."""
     auts = automorphism_group(G)
     return [
         _brace_from_assignment(G, auts, assign)
-        for assign in _regular_assignments(G, auts)
+        for assign in oracles.regular_assignments_both_orders(G.table, auts)
     ]
 
 
@@ -246,7 +246,7 @@ C2xC2 = direct_product(cyclic_group(2), cyclic_group(2))
 C4xC4 = direct_product(cyclic_group(4), cyclic_group(4))
 
 
-# C2^4 is left out: its search does not finish.
+# C2^4 is left out: the oracle's full listing does not finish.
 @pytest.mark.parametrize(
     "G",
     GROUPS_TO_15
@@ -266,10 +266,34 @@ C4xC4 = direct_product(cyclic_group(4), cyclic_group(4))
     ids=lambda G: f"{G.n}_{G.name}",
 )
 def test_regular_assignments_match_both_orders(G):
+    # the search keeps an ordered subsequence of the full listing that
+    # meets every Aut(G)-orbit
     auts = automorphism_group(G)
-    assert _regular_assignments(G, auts) == oracles.regular_assignments_both_orders(
-        G.table, auts
-    )
+    found = _regular_assignments(G, auts)
+    full = oracles.regular_assignments_both_orders(G.table, auts)
+    rest = iter(full)
+    assert all(assign in rest for assign in found)
+    assert _orbit_representatives(found, auts) == _orbit_representatives(full, auts)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_regular_assignments_meet_every_orbit_under_relabeling(n):
+    rng = random.Random(n)
+    for G in groups_of_order(n):
+        sigma = [0] + rng.sample(range(1, n), n - 1)
+        H = make_group(oracles.relabel(G.table, sigma))
+        auts = automorphism_group(H)
+        full = oracles.regular_assignments_both_orders(H.table, auts)
+        assert _orbit_representatives(
+            _regular_assignments(H, auts), auts
+        ) == _orbit_representatives(full, auts)
+
+
+def test_regular_assignments_found_through_15():
+    # one branch per stabilizer class: the full listing has 498
+    assert sum(
+        len(_regular_assignments(G, automorphism_group(G))) for G in GROUPS_TO_15
+    ) == 246
 
 
 def _right_closure_outside(G, K, gamma):
@@ -294,8 +318,8 @@ def _right_closure_outside(G, K, gamma):
     ids=lambda G: f"{G.n}_{G.name}",
 )
 def test_one_product_order_reaches_the_join(G):
-    # the lemma behind _regular_assignments: from gamma, right products by
-    # K and gamma that never step into K reach all of <K, gamma> outside K
+    # from gamma, right products by K and gamma that never step into K
+    # reach all of <K, gamma> outside K
     for K in subgroups(G):
         for gamma in range(G.n):
             if K >> gamma & 1:
@@ -320,14 +344,15 @@ def test_orbit_count_matches_burnside(n):
     for G in groups_of_order(n):
         auts = automorphism_group(G)
         index = {p: i for i, p in enumerate(auts)}
-        assignments = _regular_assignments(G, auts)
+        assignments = oracles.regular_assignments_both_orders(G.table, auts)
         fixed = sum(
             oracles.conjugate_assignment(a, f, auts, index) == a
             for f in auts
             for a in assignments
         )
         assert fixed % len(auts) == 0
-        assert fixed // len(auts) == len(_orbit_representatives(assignments, auts))
+        found = _regular_assignments(G, auts)
+        assert fixed // len(auts) == len(_orbit_representatives(found, auts))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

@@ -29,6 +29,7 @@ from sbk.groups import (
     make_group,
     subgroups,
     sylow_p,
+    table_isomorphisms,
     trivial_group,
 )
 
@@ -232,6 +233,11 @@ def test_subgroups_of_c2_5():
     assert len(subgroups(_c2_power(5))) == 374
 
 
+def test_subgroups_of_c2_6():
+    # the number of subspaces of GF(2)^6, summed over dimensions 0..6
+    assert len(subgroups(_c2_power(6))) == 1 + 63 + 651 + 1395 + 651 + 63 + 1
+
+
 def _groups_of(n):
     from sbk.enumeration import groups_of_order
 
@@ -329,6 +335,53 @@ def test_automorphism_group_counts():
     assert len(automorphism_group(trivial_group())) == 1
     # |GL(4, 2)|
     assert len(set(automorphism_group(_c2_power(4)))) == 20160
+
+
+@pytest.mark.parametrize(
+    "G,order",
+    [
+        (_c2_power(4), 20160),  # |GL(4, 2)|
+        (direct_product(cyclic_group(7), cyclic_group(7)), 2016),  # |GL(2, 7)|
+    ],
+    ids=["C2^4", "C7xC7"],
+)
+def test_automorphism_group_of_elementary_abelian_is_general_linear(G, order):
+    auts = automorphism_group(G)
+    assert len(set(auts)) == len(auts) == order
+    assert all(is_automorphism(G, p) for p in auts)
+
+
+def test_table_isomorphisms_span_check_on_two_tables():
+    # Two cyclic tables of order 6 on one set. The first generator, 1, has
+    # order 6 in the first table and 3 in the second, so its right products
+    # map every element while it spans only half of the second table: the
+    # span check adds a step. Without it the search would also return
+    # x -> -x, an automorphism of the first table only.
+    first = cyclic_group(6).table
+    second = oracles.relabel(first, (0, 2, 1, 4, 5, 3))
+    tables = [first, second]
+    assert table_isomorphisms(tables, tables, find_all=True) == [tuple(range(6))]
+    assert oracles.isomorphisms_bruteforce(tables, tables) == [tuple(range(6))]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_table_isomorphisms_on_two_group_tables_match_bruteforce(n):
+    # pairs of group tables on one set, not only braces, against a relabeled
+    # copy of a pair and against another pair
+    rng = random.Random(n)
+    groups = _groups_of(n)
+
+    def pair():
+        sigma = [0] + rng.sample(range(1, n), n - 1)
+        return [rng.choice(groups).table, oracles.relabel(rng.choice(groups).table, sigma)]
+
+    for _ in range(4 if n == 8 else 12):
+        src = pair()
+        tau = [0] + rng.sample(range(1, n), n - 1)
+        for dst in ([oracles.relabel(t, tau) for t in src], pair()):
+            assert sorted(table_isomorphisms(src, dst, find_all=True)) == (
+                oracles.isomorphisms_bruteforce(src, dst)
+            )
 
 
 @pytest.mark.parametrize("make", [lambda: cyclic_group(6), lambda: dihedral_group(6)])
