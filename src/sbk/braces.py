@@ -33,27 +33,46 @@ unchecked.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from operator import itemgetter
-from typing import Literal, Optional, Sequence
+from typing import Literal, NamedTuple, Optional, Sequence
 
 from .errors import IdentityMismatch, LeftDistributivityFails
-from .groups import FiniteGroup, Perm, _group, _square_rows, find_identity, make_group
+from .groups import (
+    FiniteGroup,
+    Perm,
+    _Frozen,
+    _group,
+    _square_rows,
+    find_identity,
+    make_group,
+)
 
 
-@dataclass(frozen=True)
-class SkewBrace:
+class SkewBrace(_Frozen):
+    """Immutable after construction. Equality and hash ignore lam, which the
+    two groups determine."""
+
     n: int
     add: FiniteGroup
     mul: FiniteGroup
-    lam: tuple[Perm, ...] = field(compare=False)
+    lam: tuple[Perm, ...]
+
+    def __init__(self, n: int, add: FiniteGroup, mul: FiniteGroup, lam: tuple[Perm, ...]) -> None:
+        self.__dict__.update(n=n, add=add, mul=mul, lam=lam)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.add, self.mul) == (other.n, other.add, other.mul)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.add, self.mul))
 
     def __repr__(self) -> str:
         return f"SkewBrace(n={self.n}, add={self.add.name or '?'}, mul={self.mul.name or '?'})"
 
 
-@dataclass(frozen=True)
-class BraceFlags:
+class BraceFlags(NamedTuple):
     trivial: bool
     almost_trivial: bool
     abelian: bool
@@ -62,7 +81,7 @@ class BraceFlags:
 
     def as_dict(self) -> dict[str, bool]:
         """The flags by field name, in field order."""
-        return asdict(self)
+        return self._asdict()
 
 
 def assemble(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:

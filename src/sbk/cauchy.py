@@ -11,9 +11,7 @@ automatically a subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bitset import ElementSet, apply_perm
 from .braces import BraceFlags, SkewBrace, classify
@@ -26,22 +24,19 @@ STRATEGY_FIXED_POINT = "lambda_fixed_point"
 STRATEGY_BRUTE_FORCE = "brute_force"
 
 
-@dataclass(frozen=True)
-class PrimeWitness:
+class PrimeWitness(NamedTuple):
     prime: int
     witness: Optional[ElementSet]
     strategy: str
 
 
-@dataclass(frozen=True)
-class CauchyReport:
+class CauchyReport(NamedTuple):
     order: int
     entries: tuple[PrimeWitness, ...]
     all_primes_witnessed: bool
 
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(NamedTuple):
     order: int
     index: int
     flags: BraceFlags

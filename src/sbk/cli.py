@@ -6,7 +6,9 @@ validation, 2 a prime witness is missing for a brace in one of the
 structured classes the harness command checks (which would signal a bug).
 
 Identical invocations produce byte-identical reports: workers only spread
-independent per-order jobs and results are re-sorted before printing.
+independent per-order jobs and results are re-sorted before printing. The
+process pool is imported only when one is started, so a command that
+reads one file never loads multiprocessing.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
 from functools import partial
 from pathlib import Path
 from typing import Any, NoReturn, Optional
@@ -219,7 +219,7 @@ def _manifest(catalog, selected: list[int], flag_census: dict[str, int]) -> dict
 def cmd_enumerate(args: argparse.Namespace) -> int:
     catalog = all_skew_braces(args.order)
     selected = []
-    census = {f.name: 0 for f in fields(BraceFlags)}
+    census = dict.fromkeys(BraceFlags._fields, 0)
     for i, B in enumerate(catalog.entries):
         flags = classify(B)
         keep = True
@@ -266,6 +266,8 @@ def _run_per_order(n_max: int, workers: int, job) -> list[Any]:
     workers = min(workers, len(orders))
     if workers <= 1:
         return [job(n) for n in orders]
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(job, orders))

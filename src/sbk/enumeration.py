@@ -25,9 +25,8 @@ the multiplicative group, its least relabeling, found by branch and bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .braces import SkewBrace, _brace
 from .errors import UnsupportedOrder
@@ -51,8 +50,7 @@ from .groups import (
 SUPPORTED_ORDERS = range(1, 16)
 
 
-@dataclass(frozen=True)
-class BraceCatalog:
+class BraceCatalog(NamedTuple):
     order: int
     entries: tuple[SkewBrace, ...]
     group_names: tuple[str, ...]
@@ -60,6 +58,7 @@ class BraceCatalog:
 
     @property
     def count(self) -> int:
+        # the number of classes; shadows tuple.count, which no caller uses
         return len(self.entries)
 
     def per_group_counts(self) -> list[tuple[str, int]]:

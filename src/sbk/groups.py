@@ -36,10 +36,9 @@ check would.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, NoReturn, Optional, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence
 
 from .bitset import ElementSet, contains, full_mask, mask_of, members, size, sort_key
 from .errors import (
@@ -56,14 +55,42 @@ Perm = tuple[int, ...]
 MAX_GROUP_ORDER = 64
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    """Group given by its Cayley table; identity is always index 0."""
+class _Frozen:
+    """Refuses assignment and deletion of attributes. A subclass's __init__
+    fills __dict__ directly; cached_property writes there too."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FiniteGroup(_Frozen):
+    """Group given by its Cayley table; identity is always index 0.
+
+    Immutable after construction. Equality and hash ignore the name.
+    """
 
     n: int
     table: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
-    name: str = field(default="", compare=False)
+    name: str
+
+    def __init__(
+        self, n: int, table: tuple[tuple[int, ...], ...], inv: tuple[int, ...], name: str = ""
+    ) -> None:
+        self.__dict__.update(n=n, table=table, inv=inv, name=name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.table, self.inv) == (other.n, other.table, other.inv)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.table, self.inv))
 
     def elements(self) -> range:
         return range(self.n)
@@ -79,15 +106,13 @@ class FiniteGroup:
         return f"FiniteGroup({label})"
 
 
-@dataclass(frozen=True)
-class GroupProperties:
+class GroupProperties(NamedTuple):
     abelian: bool
     nilpotent: bool
     soluble: bool
 
 
-@dataclass(frozen=True)
-class CharacteristicSubgroups:
+class CharacteristicSubgroups(NamedTuple):
     center: ElementSet
     derived: ElementSet
 

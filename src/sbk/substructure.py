@@ -7,8 +7,7 @@ the cosets, with a + I = a * I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bitset import ElementSet, contains, full_mask, mask_of, members, size
 from .braces import SkewBrace, _brace, star
@@ -16,23 +15,20 @@ from .errors import NotAnIdeal
 from .groups import _group, center, generated_subgroup, is_normal, is_subgroup, subgroups
 
 
-@dataclass(frozen=True)
-class Subbrace:
+class Subbrace(NamedTuple):
     carrier: ElementSet
     is_ideal: bool
     is_trivial_sub: bool
     is_abelian_sub: bool
 
 
-@dataclass(frozen=True)
-class BraceCenters:
+class BraceCenters(NamedTuple):
     z_add: ElementSet
     z_mul: ElementSet
     z_mul_is_ideal: bool
 
 
-@dataclass(frozen=True)
-class QuotientBrace:
+class QuotientBrace(NamedTuple):
     brace: SkewBrace
     reps: tuple[int, ...]
     projection: tuple[int, ...]

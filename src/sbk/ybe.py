@@ -11,14 +11,12 @@ hold it to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .braces import SkewBrace
 
 
-@dataclass(frozen=True)
-class YBEMap:
+class YBEMap(NamedTuple):
     n: int
     pairs: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -26,8 +24,7 @@ class YBEMap:
         return self.pairs[x][y]
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(NamedTuple):
     braid_ok: bool
     nondegenerate: bool
     braid_violation: Optional[tuple[int, int, int]]

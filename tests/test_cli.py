@@ -214,7 +214,8 @@ def test_pool_is_no_larger_than_the_job_count(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # _run_per_order imports the pool class only when it starts a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     for cmd in ("survey", "harness"):
         assert main([cmd, "3", "--json", "--workers", "1"]) == 0
         inline = capsys.readouterr().out
@@ -271,6 +272,29 @@ def test_cli_subprocess_smoke(tmp_path):
     assert result.returncode == 0
     rows = json.loads(result.stdout)
     assert len(rows) == 7
+    inline = run_cli(["survey", "4", "--json", "--workers", "1"])
+    assert inline.returncode == 0
+    assert inline.stdout == result.stdout
+
+
+def _new_modules(code):
+    """Modules that `python -c code` has loaded, in a fresh interpreter that
+    finds sbk on its path."""
+    import os
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code += "; print(chr(10).join(sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return set(result.stdout.split())
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_process_pool():
+    added = _new_modules("import sys, sbk.cli") - _new_modules("import sys")
+    assert "sbk.cli" in added
+    heavy = {"dataclasses", "inspect", "multiprocessing", "concurrent.futures.process"}
+    assert added & heavy == set()
 
 
 def test_enumerate_byte_identical_manifests(tmp_path):
