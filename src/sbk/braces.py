@@ -147,10 +147,16 @@ def _law_failure(
 def _brace(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
     """The brace on two groups already known to satisfy the compatibility
     law. Nothing is checked; lam[a](b) = -a + a*b is computed here and
-    nowhere else."""
+    nowhere else. Row a is row -a of the additive table read at the
+    entries of row a of the multiplicative one, by one itemgetter call. At
+    order 1 an itemgetter returns a scalar, not a 1-tuple, so that order is
+    built apart."""
+    if add.n == 1:
+        return SkewBrace(n=1, add=add, mul=mul, lam=((0,),))
     at = add.table
-    ainv = add.inv
-    lam = tuple(tuple(at[ainv[a]][x] for x in row) for a, row in enumerate(mul.table))
+    lam = tuple(
+        itemgetter(*row)(at[a_inv]) for row, a_inv in zip(mul.table, add.inv)
+    )
     return SkewBrace(n=add.n, add=add, mul=mul, lam=lam)
 
 
@@ -231,10 +237,9 @@ def is_trivial(B: SkewBrace) -> bool:
 
 
 def is_almost_trivial(B: SkewBrace) -> bool:
-    n = B.n
-    at = B.add.table
-    mt = B.mul.table
-    return all(mt[a][b] == at[b][a] for a in range(n) for b in range(n))
+    """Whether a*b = b + a for all a and b: the multiplication table is the
+    transposed additive one."""
+    return B.mul.table == tuple(zip(*B.add.table))
 
 
 def is_two_sided(B: SkewBrace) -> bool:

@@ -17,7 +17,6 @@ import argparse
 import os
 import sys
 from functools import partial
-from pathlib import Path
 from typing import Any, NoReturn, Optional
 
 from . import serialize
@@ -216,6 +215,22 @@ def _manifest(catalog, selected: list[int], flag_census: dict[str, int]) -> dict
     }
 
 
+def _normal_path(path: str) -> str:
+    """path with empty and '.' components dropped, as POSIX paths print in
+    pathlib: 'out/' and 'out/./' read 'out', and a path of no components
+    reads '.'. A leading '//' is kept, any other run of leading slashes
+    is one."""
+    lead = len(path) - len(path.lstrip("/"))
+    root = "//" if lead == 2 else "/" if lead else ""
+    parts = [p for p in path.split("/") if p not in ("", ".")]
+    return root + "/".join(parts) or "."
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     catalog = all_skew_braces(args.order)
     selected = []
@@ -235,17 +250,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     manifest = _manifest(catalog, selected, census)
     text = serialize.canonical_dumps(manifest)
     if args.out:
-        out = Path(args.out)
+        out = _normal_path(args.out)
         try:
-            out.mkdir(parents=True, exist_ok=True)
+            os.makedirs(out, exist_ok=True)
             for i in selected:
                 payload = serialize.canonical_dumps(
                     serialize.brace_to_obj(catalog.entries[i])
                 )
-                (out / f"brace_{catalog.order:02d}_{i:03d}.json").write_text(
-                    payload, encoding="utf-8"
-                )
-            (out / "manifest.json").write_text(text, encoding="utf-8")
+                _write(os.path.join(out, f"brace_{catalog.order:02d}_{i:03d}.json"), payload)
+            _write(os.path.join(out, "manifest.json"), text)
         except OSError as exc:
             raise BadInput(f"cannot write to {out}: {exc}") from exc
     _print(text)

@@ -20,13 +20,15 @@ generators, groups._spanning. These orbits are exactly the isomorphism
 classes of braces with additive group G (Guarnieri and Vendramin, Math.
 Comp. 86 (2017), section 4), so no representative is compared with
 another. Through order 8 the blocks are ordered by a canonical table of
-the multiplicative group, its least relabeling, found by branch and bound.
+the multiplicative group, its least relabeling, found by branch and bound
+pruned by the group's automorphisms.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .braces import SkewBrace, _brace
 from .errors import UnsupportedOrder
@@ -113,28 +115,38 @@ def groups_of_order(n: int) -> list[FiniteGroup]:
 
 class _Products(dict):
     """p o auts[j] as an index, under the key j: one row of the product
-    table of auts, whose rows share index.
+    table of auts, whose rows share index and the getters, getters[j](p)
+    being p o auts[j].
 
     An entry is composed the first time it is looked up and kept for the
     rest of one search, so no |Aut| x |Aut| table is built.
     """
 
-    def __init__(self, p: Perm, auts: Sequence[Perm], index: dict[Perm, int]) -> None:
+    def __init__(
+        self, p: Perm, getters: Sequence[Callable[[Perm], Perm]], index: dict[Perm, int]
+    ) -> None:
         super().__init__()
         self.p = p
-        self.auts = auts
+        self.getters = getters
         self.index = index
 
     def __missing__(self, j: int) -> int:
-        p = self.p
-        r = self[j] = self.index[tuple(p[x] for x in self.auts[j])]
+        r = self[j] = self.index[self.getters[j](self.p)]
         return r
 
 
 def _product_rows(auts: Sequence[Perm]) -> tuple[list[_Products], dict[Perm, int]]:
-    """Rows amul[i][j] = auts[i] o auts[j], and the index they share."""
+    """Rows amul[i][j] = auts[i] o auts[j], and the index they share.
+
+    p o q is one itemgetter over p, built once per q. At order 1 an
+    itemgetter returns a scalar, not a 1-tuple; there the one automorphism
+    is (0,), and p o (0,) is p."""
     index = {p: i for i, p in enumerate(auts)}
-    return [_Products(p, auts, index) for p in auts], index
+    if len(auts[0]) == 1:
+        getters: list[Callable[[Perm], Perm]] = [tuple]
+    else:
+        getters = [itemgetter(*q) for q in auts]
+    return [_Products(p, getters, index) for p in auts], index
 
 
 def _regular_assignments(
@@ -268,9 +280,12 @@ def are_isomorphic_braces(B1: SkewBrace, B2: SkewBrace) -> Optional[Perm]:
     return found[0] if found else None
 
 
-def canonical_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+def canonical_table(
+    table: Sequence[Sequence[int]], auts: Sequence[Perm]
+) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least relabeling of the table over all
-    permutations fixing 0.
+    permutations fixing 0. auts are automorphisms of the table that form a
+    group: all of them, or any subgroup, [tuple(range(n))] at least.
 
     A branch and bound on the first row that a relabeling can change: row
     1 when row 0 is the identity, as in a group table, else row 0. That row
@@ -280,6 +295,18 @@ def canonical_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ..
     there. A branch is cut as soon as its row is larger than the best one
     found. A complete row labels every element, so the later rows are then
     compared with the best table, with an early exit.
+
+    A branch point branches on one unlabeled element per orbit of S, the
+    automorphisms in auts that fix every element labeled so far. Relabeling
+    by sigma o f, f an automorphism, gives the same table as sigma: it puts
+    sigma(f(t[i][j])) = sigma(t[f(i)][f(j)]) at (sigma(f(i)), sigma(f(j))).
+    The search below a node depends only on the table and its labeling, so
+    the node whose labeling is label o f^-1 searches the same way with every
+    element moved by f: a value v met there is f(v), takes the same label,
+    and gives the same rows. For f in S, label o f^-1 is the labeling of
+    this node with x labeled in place of f(x), where x takes the next
+    label, so the branches on x and on f(x) reach the same tables, and the
+    least table is found below the branches taken.
     """
     n = len(table)
     rows = [tuple(r) for r in table]
@@ -289,22 +316,32 @@ def canonical_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ..
     best: Optional[tuple[tuple[int, ...], ...]] = None
 
     def search(
-        j: int, label: list[int], elem: list[int], free: int, first: list[int]
+        j: int,
+        label: list[int],
+        elem: list[int],
+        free: int,
+        first: list[int],
+        stab: Sequence[Perm],
     ) -> None:
         # label: element -> label, elem: label -> element, -1 where unset.
         # Labels are handed out in increasing order, so a row or column
-        # without a preimage always asks for the next free label.
+        # without a preimage always asks for the next free label. stab
+        # fixes every element labeled when it was passed down.
         nonlocal best
         while j < n:
             need = top if elem[top] < 0 else j
             if elem[need] < 0:
+                labeled = elem[:free]
+                S = [f for f in stab if all(f[x] == x for x in labeled)]
+                met: set[int] = set()
                 for x in range(n):
-                    if label[x] < 0:
+                    if label[x] < 0 and x not in met:
+                        met.update(f[x] for f in S)
                         label2 = label.copy()
                         elem2 = elem.copy()
                         label2[x] = free
                         elem2[free] = x
-                        search(j, label2, elem2, free + 1, first.copy())
+                        search(j, label2, elem2, free + 1, first.copy(), S)
                 return
             v = rows[elem[top]][elem[j]]
             if label[v] < 0:
@@ -334,7 +371,7 @@ def canonical_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ..
     label = [-1] * n
     elem = [-1] * n
     label[0] = elem[0] = 0
-    search(0, label, elem, 1, [])
+    search(0, label, elem, 1, [], auts)
     assert best is not None
     return best
 
@@ -399,10 +436,15 @@ def all_skew_braces(n: int) -> BraceCatalog:
     """Catalog of all skew braces of order n up to isomorphism, for n in
     SUPPORTED_ORDERS; built once per order."""
     groups = groups_of_order(n)
+    auts_of = [automorphism_group(G) for G in groups]
     # Through order 8 each additive block is ordered by the canonical table
     # of its multiplicative group's type, one per group of order n; ties
     # keep search order.
-    canon = [canonical_table(H.table) for H in groups] if n <= 8 else []
+    canon = (
+        [canonical_table(H.table, auts) for H, auts in zip(groups, auts_of)]
+        if n <= 8
+        else []
+    )
 
     def mul_type_key(b: SkewBrace) -> tuple[tuple[int, ...], ...]:
         return next(
@@ -411,8 +453,7 @@ def all_skew_braces(n: int) -> BraceCatalog:
 
     entries: list[SkewBrace] = []
     provenance: list[int] = []
-    for gi, G in enumerate(groups):
-        auts = automorphism_group(G)
+    for gi, (G, auts) in enumerate(zip(groups, auts_of)):
         assignments = _regular_assignments(G, auts)
         reps = _orbit_representatives(assignments, auts)
         kept = [_brace_from_assignment(G, auts, assign) for assign in reps]

@@ -148,18 +148,20 @@ def make_group(
         raise GroupTooLarge(n, MAX_GROUP_ORDER)
     if identity is None:
         raise NoIdentity()
-    if not all(identity in row for row in rows) or (
-        _associativity_failure(rows, _spanning(rows, identity)) is not None
-    ):
+    if not all(identity in row for row in rows):
+        _raise_first_violation(rows)
+    span = _spanning(rows, identity)
+    if _associativity_failure(rows, span) is not None:
         _raise_first_violation(rows)
 
-    if identity != 0:
-        # relabel by the transposition (0 identity)
-        sigma = list(range(n))
-        sigma[0], sigma[identity] = identity, 0
-        moved = [rows[s] for s in sigma]
-        rows = [tuple([sigma[row[t]] for t in sigma]) for row in moved]
-    return _group(rows, name)
+    if identity == 0:
+        # the table is kept as it is, so the span is its gens
+        return _group(rows, name, gens=span)
+    # relabel by the transposition (0 identity)
+    sigma = list(range(n))
+    sigma[0], sigma[identity] = identity, 0
+    moved = [rows[s] for s in sigma]
+    return _group([tuple([sigma[row[t]] for t in sigma]) for row in moved], name)
 
 
 def _square_rows(table: Sequence[Sequence[int]], key: str) -> list[tuple[int, ...]]:
@@ -258,12 +260,18 @@ def _associativity_failure(
     return None
 
 
-def _group(rows: Iterable[Iterable[int]], name: str = "") -> FiniteGroup:
+def _group(
+    rows: Iterable[Iterable[int]], name: str = "", gens: Optional[tuple[int, ...]] = None
+) -> FiniteGroup:
     """The group of a table already known to be a group with identity 0;
-    nothing is checked. A right inverse in a group is two-sided."""
+    nothing is checked. A right inverse in a group is two-sided. gens, when
+    given, is _spanning(rows) already computed, and becomes G.gens."""
     table = tuple(tuple(row) for row in rows)
     inv = tuple(row.index(0) for row in table)
-    return FiniteGroup(n=len(table), table=table, inv=inv, name=name)
+    G = FiniteGroup(n=len(table), table=table, inv=inv, name=name)
+    if gens is not None:
+        G.__dict__["gens"] = gens  # where cached_property keeps it
+    return G
 
 
 def element_order(G: FiniteGroup, x: int) -> int:

@@ -11,15 +11,22 @@ newline) so identical inputs produce byte-identical files.
 canonical_dumps writes that form itself, byte for byte what
 json.dumps(obj, sort_keys=True, indent=2) writes: with indent set, the
 json module drops its C encoder for a pure-Python one, which was the
-largest single cost of writing a brace or a Yang-Baxter map. Lists of
-plain ints, nearly all of every output, are joined with str; keys and
-every other scalar still go through json.dumps.
+largest single cost of writing a brace or a Yang-Baxter map. Nearly all
+of every output is ints, written in two shapes. A list of plain ints is
+joined with str. A list of non-empty rows of plain ints, all of one
+length, is written by one %d format string built for that shape, filled
+from the flattened rows in one call: a brace file's table, or one row of
+a Yang-Baxter map, whose entries are [u, v] pairs. Plain means of type
+int exactly, so a bool, which prints as true, never meets %d. Keys,
+every other scalar, ragged rows and empty rows keep the general path,
+and scalars still go through json.dumps.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from itertools import chain
+from typing import Any, Optional
 
 from .bitset import members
 from .braces import SkewBrace, _skew_brace_of_rows
@@ -30,6 +37,7 @@ from .ybe import YBEMap
 
 
 _INT = frozenset({int})
+_ROW = frozenset({list, tuple})
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -47,9 +55,13 @@ def _dumps(obj: Any, nl: str) -> str:
         if not obj:
             return "[]"
         inner = nl + "  "
-        if set(map(type, obj)) == _INT:  # not bool, which prints as true
+        types = set(map(type, obj))
+        if types == _INT:  # not bool, which prints as true
             items = map(str, obj)
         else:
+            table = _table(obj, inner) if types <= _ROW else None
+            if table is not None:
+                return "[" + inner + table + nl + "]"
             items = [_dumps(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(obj, dict):
@@ -59,6 +71,23 @@ def _dumps(obj: Any, nl: str) -> str:
         items = [json.dumps(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     return json.dumps(obj)
+
+
+def _table(rows: Any, inner: str) -> Optional[str]:
+    """The rows between the brackets of their list, one per line at the
+    indent of inner, when they are non-empty rows of plain ints, all of one
+    length; None otherwise. One %d format string, built for the shape, is
+    filled from the flattened rows."""
+    width = len(rows[0])
+    # the first cell turns away a map's list of rows of pairs unflattened
+    if not width or type(rows[0][0]) is not int or set(map(len, rows)) != {width}:
+        return None
+    cells = tuple(chain.from_iterable(rows))
+    if set(map(type, cells)) != _INT:
+        return None
+    cell = inner + "  "
+    row = "[" + cell + ("," + cell).join(["%d"] * width) + inner + "]"
+    return ("," + inner).join([row] * len(rows)) % cells
 
 
 def _require_field(obj: Any, key: str, n: int) -> list:
@@ -148,10 +177,11 @@ def survey_rows_to_obj(rows: list[SurveyRow]) -> list[dict[str, Any]]:
 def ybe_to_obj(r: YBEMap) -> dict[str, Any]:
     """The map and its checks; every map to_solution returns satisfies the
     braid relation and is non-degenerate (Guarnieri and Vendramin, Thm
-    3.1), so both are true."""
+    3.1), so both are true. The pairs go to the writer as they are: tuples
+    are written as lists."""
     return {
         "order": r.n,
-        "r": [[[u, v] for (u, v) in row] for row in r.pairs],
+        "r": r.pairs,
         "braid_ok": True,
         "nondegenerate": True,
     }

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from sbk.braces import (
     classify,
     from_group,
+    is_almost_trivial,
     is_two_sided,
     lambda_of,
     make_skew_brace,
@@ -12,7 +14,7 @@ from sbk.braces import (
     star,
     swap,
 )
-from sbk.enumeration import all_skew_braces, groups_of_order
+from sbk.enumeration import SUPPORTED_ORDERS, all_skew_braces, groups_of_order
 from sbk.errors import (
     IdentityMismatch,
     LeftDistributivityFails,
@@ -20,8 +22,10 @@ from sbk.errors import (
     NotLatinSquare,
 )
 from sbk.groups import cyclic_group, dihedral_group, element_order
+from sbk.serialize import brace_from_obj
 
 import oracles
+from test_golden import product_braces
 
 
 def z3_table():
@@ -366,3 +370,47 @@ def test_flags_match_the_oracles(n):
                 assert sw == rebuilt and sw.lam == rebuilt.lam
             commutative = all(add[a][b] == add[b][a] for a in range(n) for b in range(n))
             assert flags.abelian == (mul == add and commutative)
+
+
+def kernel_braces():
+    """(name, brace) for every catalog brace through order 15, the order-1
+    brace among them, and the nine products of catalog braces of orders 16
+    to 64; each is followed by a seeded relabeling of it, loaded from a
+    JSON object with its identity off index 0 where the order allows."""
+    rng = random.Random("kernels")
+    named = [
+        (f"{n}.{i}", B)
+        for n in SUPPORTED_ORDERS
+        for i, B in enumerate(all_skew_braces(n).entries)
+    ]
+    for name, B in named + list(product_braces()):
+        yield name, B
+        n = B.n
+        labels = list(range(n))
+        rng.shuffle(labels)
+        if n > 1 and labels[0] == 0:
+            k = rng.randrange(1, n)
+            labels[0], labels[k] = labels[k], labels[0]
+        moved = {
+            "order": n,
+            "add": [list(r) for r in oracles.relabel(B.add.table, labels)],
+            "mul": [list(r) for r in oracles.relabel(B.mul.table, labels)],
+        }
+        yield f"{name} relabeled", brace_from_obj(moved)
+
+
+def test_lambda_and_almost_trivial_match_the_definitions():
+    almost = 0
+    for name, B in kernel_braces():
+        n = B.n
+        at = B.add.table
+        mt = B.mul.table
+        for a in range(n):
+            minus_a = at[a].index(0)
+            # lam_a(b) = -a + ab
+            assert B.lam[a] == tuple(at[minus_a][mt[a][b]] for b in range(n)), name
+        # almost trivial: ab = b + a
+        expected = all(mt[a][b] == at[b][a] for a in range(n) for b in range(n))
+        assert is_almost_trivial(B) == expected, name
+        almost += expected
+    assert almost > 0

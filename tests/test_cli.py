@@ -1,7 +1,8 @@
 import json
+import os
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -196,6 +197,23 @@ def test_enumerate_out_blocked_by_a_file_is_one_error_line(tmp_path, below):
     _one_error_line(result, f"error: cannot write to {out}: ")
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_enumerate_out_with_a_trailing_slash_is_named_without_it(tmp_path, below):
+    path = tmp_path / "file"
+    path.write_text("", encoding="utf-8")
+    out = path / "sub" if below else path
+    result = run_cli(["enumerate", "3", "--out", f"{out}/"])
+    _one_error_line(result, f"error: cannot write to {out}: ")
+    assert f"'{out}/'" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "given", ["out", "out/", "./out//sub/.", "/out", "//srv/out", "///srv", "./", "/", "//"]
+)
+def test_out_path_is_named_as_pathlib_prints_it(given):
+    assert cli._normal_path(given) == str(PurePosixPath(given))
+
+
 def test_pool_is_no_larger_than_the_job_count(capsys, monkeypatch):
     sizes = []
 
@@ -295,6 +313,16 @@ def test_importing_the_cli_loads_no_dataclasses_or_process_pool():
     assert "sbk.cli" in added
     heavy = {"dataclasses", "inspect", "multiprocessing", "concurrent.futures.process"}
     assert added & heavy == set()
+
+
+def test_importing_the_cli_without_site_loads_no_pathlib():
+    # site may load pathlib through an installed .pth file, so -S
+    code = "import sys, sbk.cli; print('pathlib' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "False\n"
 
 
 def test_enumerate_byte_identical_manifests(tmp_path):

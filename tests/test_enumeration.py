@@ -218,6 +218,15 @@ def test_catalog_is_deterministic():
     assert rebuilt.provenance == first.provenance
 
 
+def _canonical_both_ways(table):
+    """canonical_table pruned by every automorphism of the table, checked
+    against the unpruned search, which the identity alone gives."""
+    n = len(table)
+    full = canonical_table(table, automorphism_group(make_group(table)))
+    assert full == canonical_table(table, [tuple(range(n))])
+    return full
+
+
 def test_canonical_table_is_relabeling_invariant():
     B = all_skew_braces(6).entries[3]
     table = B.mul.table
@@ -226,7 +235,7 @@ def test_canonical_table_is_relabeling_invariant():
     relabeled = tuple(
         tuple(sigma[table[inv[i]][inv[j]]] for j in range(6)) for i in range(6)
     )
-    assert canonical_table(table) == canonical_table(relabeled)
+    assert _canonical_both_ways(table) == _canonical_both_ways(relabeled)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -238,7 +247,7 @@ def test_canonical_table_matches_bruteforce(n):
             sigma = [0] + rng.sample(range(1, n), n - 1)
             tables.append(oracles.relabel(G.table, sigma))
         for table in tables:
-            assert canonical_table(table) == oracles.canonical_form(table)
+            assert _canonical_both_ways(table) == oracles.canonical_form(table)
 
 
 GROUPS_TO_15 = [G for n in range(1, 16) for G in groups_of_order(n)]

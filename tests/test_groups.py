@@ -13,6 +13,7 @@ from sbk.errors import (
     NotPrime,
 )
 from sbk.groups import (
+    _spanning,
     alternating_group_4,
     automorphism_group,
     centralizer,
@@ -32,8 +33,10 @@ from sbk.groups import (
     table_isomorphisms,
     trivial_group,
 )
+from sbk.serialize import brace_to_obj, canonical_dumps, load_brace
 
 import oracles
+from test_golden import _catalog_through, _large_brace_files, _large_braces
 
 
 def test_make_group_z2():
@@ -506,3 +509,18 @@ def test_is_isomorphic_z6_z2xz3():
 def test_is_isomorphic_reflexive_identity():
     G = dihedral_group(8)
     assert is_isomorphic(G, G) == tuple(range(8))
+
+
+def test_loaded_groups_keep_the_span_of_their_table(tmp_path):
+    # make_group hands the span it checked associativity on to the group
+    # when the identity is already at 0; either way gens is that of the
+    # table the group holds. The brace files of the golden digests.
+    paths = list(_large_brace_files(tmp_path))
+    for name, B in [*_catalog_through(12), *_large_braces()]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(canonical_dumps(brace_to_obj(B)), encoding="utf-8")
+        paths.append(path)
+    for path in paths:
+        B = load_brace(str(path))
+        for G in (B.add, B.mul):
+            assert G.gens == _spanning(G.table), path.name

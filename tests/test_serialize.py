@@ -232,11 +232,41 @@ def _random_text(rng: random.Random) -> str:
     return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
 
 
+def _random_cell(rng: random.Random) -> int:
+    return rng.choice([0, 1, -1, 2**70, -(2**70), 2**63, rng.randint(-99, 99)])
+
+
+def _random_pair(rng: random.Random) -> list[int]:
+    return [_random_cell(rng), _random_cell(rng)]
+
+
+def _random_table(rng: random.Random):
+    """Rows for the writer's format-string path, from 1x1 up, and the near
+    misses that must keep the general path: a bool in one row, an empty
+    row, ragged rows. Rows may be lists or tuples, mixed; some tables are
+    maps three levels deep, rows of [u, v] pairs."""
+    height = rng.choice([1, 1, 2, 3, 5])
+    width = rng.choice([1, 1, 2, 3, 6])
+    shape = rng.randrange(6)
+    cell = _random_pair if shape == 0 else _random_cell
+    table = [[cell(rng) for _ in range(width)] for _ in range(height)]
+    k = rng.randrange(height)
+    if shape == 1:
+        table[k][rng.randrange(width)] = rng.choice([True, False])
+    elif shape == 2:
+        table[k] = []
+    elif shape == 3:
+        table.append([_random_cell(rng) for _ in range(width + 1)])
+    if rng.randrange(2):
+        table = [tuple(row) if rng.randrange(2) else row for row in table]
+    return tuple(table) if rng.randrange(3) == 0 else table
+
+
 def _random_value(rng: random.Random, depth: int = 0):
     """A seeded random JSON value: big and negative ints, bools mixed into
-    int lists, None, floats, strings, and nested lists, tuples and dicts
-    with string keys, empty ones included."""
-    kind = rng.randrange(10 if depth < 4 else 5)
+    int lists, None, floats, strings, tables of int rows, and nested lists,
+    tuples and dicts with string keys, empty ones included."""
+    kind = rng.randrange(11 if depth < 4 else 6)
     if kind == 0:
         return rng.choice([0, 1, -1, 2**63, 2**64 + 1, -(2**70), rng.randint(-9, 9)])
     if kind == 1:
@@ -247,10 +277,12 @@ def _random_value(rng: random.Random, depth: int = 0):
         return [rng.randint(-(2**66), 2**66) for _ in range(rng.randrange(5))]
     if kind == 4:
         return [rng.choice([0, 1, True, False, -7]) for _ in range(rng.randrange(1, 5))]
+    if kind == 5:
+        return _random_table(rng)
     items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
-    if kind in (5, 6):
+    if kind in (6, 7):
         return items
-    if kind == 7:
+    if kind == 8:
         return tuple(items)
     return {_random_text(rng): v for v in items}
 

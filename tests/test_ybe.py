@@ -6,6 +6,7 @@ from sbk.groups import cyclic_group
 from sbk.serialize import ybe_to_obj
 from sbk.ybe import YBEMap, check_solution, to_solution
 
+from test_braces import kernel_braces
 from test_golden import product_braces
 
 
@@ -117,3 +118,19 @@ def test_isomorphic_braces_give_conjugate_solutions():
             for y in range(6):
                 u, v = r1(x, y)
                 assert r2(f[x], f[y]) == (f[u], f[v])
+
+
+def test_solution_matches_the_definition():
+    # r(x, y) = (u, u'xy) with u = lam_x(y) = -x + xy and u' its inverse
+    # under the multiplication, each found from the tables alone
+    for name, B in kernel_braces():
+        n = B.n
+        at = B.add.table
+        mt = B.mul.table
+        r = to_solution(B)
+        for x in range(n):
+            minus_x = at[x].index(0)
+            for y in range(n):
+                u = at[minus_x][mt[x][y]]
+                u_inv = mt[u].index(0)
+                assert r(x, y) == (u, mt[mt[u_inv][x]][y]), (name, x, y)
