@@ -40,14 +40,6 @@ def contains(mask: ElementSet, i: int) -> bool:
     return (mask >> i) & 1 == 1
 
 
-def apply_perm(perm: tuple[int, ...], mask: ElementSet) -> ElementSet:
-    """Image of the set under a permutation of 0..n-1."""
-    out = 0
-    for i in members(mask):
-        out |= 1 << perm[i]
-    return out
-
-
 def sort_key(mask: ElementSet) -> tuple[int, tuple[int, ...]]:
     """Deterministic ordering: by size, then by the member sequence."""
     ms = members(mask)

@@ -6,19 +6,21 @@ the carrier equals the additive cyclic subgroup generated by any nonzero
 member. It therefore suffices to scan elements of additive order p and
 test whether their additive cyclic subgroup is closed under the
 multiplication; a finite set containing 0 and closed under the product is
-automatically a subgroup.
+automatically a subgroup. Closure is tested on the one generator x: the
+cyclic group <x> is closed under * exactly when lambda_y(x) lies in it
+for every y in it (substructure._mul_closed).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .bitset import ElementSet, apply_perm
+from .bitset import ElementSet
 from .braces import BraceFlags, SkewBrace, classify
 from .enumeration import all_skew_braces
 from .errors import NotPrime, PrimeDoesNotDivideOrder
-from .groups import _is_prime, element_order, generated_subgroup, is_subgroup
-from .groups import prime_divisors, sylow_p
+from .groups import _is_prime, element_order, generated_subgroup, prime_divisors, sylow_p
+from .substructure import _mul_closed, is_lambda_invariant
 
 STRATEGY_FIXED_POINT = "lambda_fixed_point"
 STRATEGY_BRUTE_FORCE = "brute_force"
@@ -68,7 +70,7 @@ def find_subbrace_with_strategy(
         cyc = generated_subgroup(B.add, [x])
         if B.lam[x][x] == x:
             return cyc, STRATEGY_FIXED_POINT
-        if is_subgroup(B.mul, cyc):
+        if _mul_closed(B, cyc, [x]):
             return cyc, STRATEGY_BRUTE_FORCE
     return None, STRATEGY_BRUTE_FORCE
 
@@ -95,7 +97,7 @@ def sylow_fixed_point_diagnostic(B: SkewBrace, p: int) -> Optional[ElementSet]:
     if B.n % p != 0:
         raise PrimeDoesNotDivideOrder(p, B.n)
     for P in sylow_p(B.add, p):
-        if all(apply_perm(B.lam[b], P) == P for b in range(B.n)):
+        if is_lambda_invariant(B, P):
             return P
     return None
 

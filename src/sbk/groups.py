@@ -17,7 +17,14 @@ is in N, provided the closure of {e} under right products by S is the
 whole table. _spanning picks such an S, of at most log2(n) elements for a
 group, and make_group scans k over S: O(n^2 |S|) work in place of n^3.
 The same argument decides normality: the g with gHg^-1 in H are closed
-under products, so is_normal tests only the group's generators.
+under products, so is_normal tests only the group's generators. So does
+center: the centralizer of g is a subgroup, so g is central once it
+commutes with every generator. The brace layer decides its tests the
+same way, on generators of (B,*) through lambda_(a*b) = lambda_a lambda_b
+and on generators of a subgroup through the additivity of each lambda_a:
+lambda invariance, the carrier filter of the subbrace lattice, the star
+square and the compatibility law (substructure.py and braces.py give the
+proofs).
 
 No Latin square test is needed beside it. In an associative table with
 identity e in which every row holds e, every x has a right inverse y,
@@ -202,9 +209,13 @@ def _raise_first_violation(rows: Sequence[Sequence[int]]) -> NoReturn:
     raise NotAssociative(*_associativity_failure(rows, range(len(rows))))
 
 
-def _spanning(table: Sequence[Sequence[int]], e: int = 0) -> tuple[int, ...]:
+def _spanning(
+    table: Sequence[Sequence[int]], e: int = 0, among: Optional[Iterable[int]] = None
+) -> tuple[int, ...]:
     """Elements whose right products, starting from the identity e, reach
-    every index of the table.
+    every index of the table. When among is given the elements are chosen
+    from it, and they reach every element of it: exactly among when it is
+    a subgroup.
 
     Greedy: the least index not reached yet is the next element. In a group
     the reached set is a subgroup, which each new element at least doubles,
@@ -214,7 +225,7 @@ def _spanning(table: Sequence[Sequence[int]], e: int = 0) -> tuple[int, ...]:
     steps: list[int] = []
     seen = 1 << e
     reached = [e]
-    for x in range(len(table)):
+    for x in range(len(table)) if among is None else among:
         if seen >> x & 1:
             continue
         steps.append(x)
@@ -325,18 +336,31 @@ def is_subgroup(G: FiniteGroup, mask: ElementSet) -> bool:
 
 
 def subgroups(G: FiniteGroup) -> list[ElementSet]:
-    """All subgroups, sorted by size then by member sequence.
+    """All subgroups, sorted by size then by member sequence."""
+    return sorted(_subgroup_lattice(G), key=sort_key)
+
+
+def _subgroup_lattice(G: FiniteGroup) -> dict[ElementSet, list[int]]:
+    """Every subgroup, each with a list of elements generating it.
 
     Cyclic subgroups seed the search; the lattice is completed by joining
     each known subgroup H with elements outside it until no new subgroup
     appears. Every subgroup is a join of cyclic ones, so this is complete.
     Since <H, x> = <H, hx> for h in H, one x per right coset Hx is joined:
     x is walked upward, and an x in a coset already met is skipped. Each
-    subgroup keeps the generators it was found with (its parent's plus x),
-    so a join is closed from a few generators rather than from all members;
-    a join with an x whose cyclic subgroup holds H is that cyclic subgroup.
+    subgroup keeps the generators it was found with (its parent's plus x).
+    A join with an x whose cyclic subgroup holds H is that cyclic subgroup.
+    Any other join J = <H, x> is grown a right coset at a time: the union
+    U of the cosets Hc reached from H by right products c -> cg, g a
+    generator of H or x, holds 0 and is closed under those right products,
+    since hc * g lies in H(cg); so U is J. Each coset Hd is filled by one
+    gather over column d, read at H's members: |J:H| (|gens| + 1) steps
+    where closing J element by element takes |J| (|gens| + 1).
     """
     table = G.table
+    n = G.n
+    # bits[d][h] = the bit of h * d; a coset mask is a sum of distinct bits
+    bits = [tuple(1 << c for c in col) for col in zip(*table)]
     cyclic = [generated_subgroup(G, [x]) for x in G.elements()]
     gens_of: dict[ElementSet, list[int]] = {}
     for x, cyc in enumerate(cyclic):
@@ -347,21 +371,34 @@ def subgroups(G: FiniteGroup) -> list[ElementSet]:
         for sub in frontier:
             sub_gens = gens_of[sub]
             hs = members(sub)
+            if len(hs) == 1:
+                continue  # every join with the trivial subgroup is cyclic
+            coset = itemgetter(*hs)
             covered = sub
-            for x in G.elements():
+            for x in range(n):
                 if covered >> x & 1:
                     continue
-                for h in hs:
-                    covered |= 1 << table[h][x]
+                covered |= sum(coset(bits[x]))
                 gens = sub_gens + [x]
-                # <H, x> is <x> when H lies in <x>, as the trivial H does
+                # <H, x> is <x> when H lies in <x>
                 cyc = cyclic[x]
-                join = cyc if sub & ~cyc == 0 else generated_subgroup(G, gens)
+                if sub & ~cyc == 0:
+                    join = cyc
+                else:
+                    join = sub
+                    reps = [0]
+                    for c in reps:
+                        row = table[c]
+                        for g in gens:
+                            d = row[g]
+                            if not join >> d & 1:
+                                join |= sum(coset(bits[d]))
+                                reps.append(d)
                 if join not in gens_of:
                     gens_of[join] = gens
                     new.append(join)
         frontier = new
-    return sorted(gens_of, key=sort_key)
+    return gens_of
 
 
 def _is_prime(p: int) -> bool:
@@ -412,11 +449,14 @@ def centralizer(G: FiniteGroup, x: int) -> ElementSet:
 
 
 def center(G: FiniteGroup) -> ElementSet:
+    """The g commuting with every element. The centralizer of g is a
+    subgroup, so it is G once it holds every generator in G.gens."""
     table = G.table
+    gens = G.gens
     out = 0
     for g in G.elements():
         row = table[g]
-        if all(row[h] == table[h][g] for h in G.elements()):
+        if all(row[s] == table[s][g] for s in gens):
             out |= 1 << g
     return out
 
@@ -454,6 +494,28 @@ def is_normal(G: FiniteGroup, mask: ElementSet) -> bool:
             if not mask >> table[row[s]][g_inv] & 1:
                 return False
     return True
+
+
+def normal_closure(G: FiniteGroup, xs: Iterable[int]) -> ElementSet:
+    """The least normal subgroup holding xs, as a bitmask.
+
+    H = <X> is normal once gxg^-1 lies in H for every g in G.gens and x in
+    X: the g that conjugate H into itself are closed under products, and
+    conjugation by g is an automorphism, so it maps H into H once it maps
+    X into H. Every conjugate gxg^-1 outside H joins X, and H is grown
+    again; each time H at least doubles.
+    """
+    table = G.table
+    inv = G.inv
+    xs = list(dict.fromkeys(xs))
+    H = generated_subgroup(G, xs)
+    for x in xs:  # xs grows while it is walked
+        for g in G.gens:
+            y = table[table[g][x]][inv[g]]
+            if not H >> y & 1:
+                xs.append(y)
+                H = generated_subgroup(G, xs)
+    return H
 
 
 def group_properties(G: FiniteGroup) -> GroupProperties:

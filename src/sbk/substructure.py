@@ -3,16 +3,32 @@
 An ideal is a subbrace that is invariant under every lambda map and normal
 in both groups; the quotient of a brace by an ideal is again a brace on
 the cosets, with a + I = a * I.
+
+The tests are decided on generators, by two facts. First, a -> lambda_a
+is a homomorphism from (B,*) (Guarnieri and Vendramin, Math. Comp. 86
+(2017), Prop. 1.9), so the a with lambda_a(M) inside M are closed under *
+and hold 0: they are all of B once they hold B.mul.gens. Second, each
+lambda_a is an automorphism of (B,+), so it maps a subgroup <X> into M
+exactly when it maps X into M, and its fixed points form a subgroup.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .bitset import ElementSet, contains, full_mask, mask_of, members, size
-from .braces import SkewBrace, _brace, star
+from .bitset import ElementSet, contains, full_mask, mask_of, members, size, sort_key
+from .braces import SkewBrace, _brace, is_almost_trivial, is_trivial, star
 from .errors import NotAnIdeal
-from .groups import _group, center, generated_subgroup, is_normal, is_subgroup, subgroups
+from .groups import (
+    _group,
+    _spanning,
+    _subgroup_lattice,
+    center,
+    generated_subgroup,
+    is_normal,
+    is_subgroup,
+    normal_closure,
+)
 
 
 class Subbrace(NamedTuple):
@@ -36,23 +52,43 @@ class QuotientBrace(NamedTuple):
 
 def subbrace_carriers(B: SkewBrace) -> list[ElementSet]:
     """Subsets that are subgroups of both operations at once, in the
-    order of `subgroups`."""
-    return [m for m in subgroups(B.add) if is_subgroup(B.mul, m)]
+    order of `subgroups`: the additive subgroups closed under *, each
+    tested on the generators the lattice search found it with."""
+    lattice = _subgroup_lattice(B.add)
+    carriers = [m for m, gens in lattice.items() if _mul_closed(B, m, gens)]
+    return sorted(carriers, key=sort_key)
+
+
+def _mul_closed(B: SkewBrace, mask: ElementSet, gens: list[int]) -> bool:
+    """Whether the additive subgroup mask, generated by gens, is a subgroup
+    of (B,*). Since x*y = x + lambda_x(y), x*M lies in M for x in M exactly
+    when lambda_x(M) does, which holds once every lambda_x(g), g in gens,
+    lies in M. A finite set holding 0 and closed under * is a subgroup."""
+    lam = B.lam
+    return all(mask >> lam[x][g] & 1 for x in members(mask) for g in gens)
 
 
 def is_trivial_carrier(B: SkewBrace, mask: ElementSet) -> bool:
+    """Whether x*y = x + y for x and y in the set. As x*y = x + lambda_x(y),
+    it does when lambda_x fixes y; the fixed points of lambda_x form an
+    additive subgroup, so y runs over a set that generates one holding the
+    mask, chosen from the mask."""
     ms = members(mask)
-    at = B.add.table
-    mt = B.mul.table
-    return all(mt[x][y] == at[x][y] for x in ms for y in ms)
+    return _trivial_on(B, ms, _spanning(B.add.table, among=ms))
+
+
+def _trivial_on(B: SkewBrace, ms: list[int], gens: tuple[int, ...]) -> bool:
+    lam = B.lam
+    return all(lam[x][g] == g for x in ms for g in gens)
 
 
 def is_abelian_carrier(B: SkewBrace, mask: ElementSet) -> bool:
+    """is_trivial_carrier, with + commutative on the set: a centralizer is
+    a subgroup, so y again runs over generators."""
     ms = members(mask)
+    gens = _spanning(B.add.table, among=ms)
     at = B.add.table
-    return is_trivial_carrier(B, mask) and all(
-        at[x][y] == at[y][x] for x in ms for y in ms
-    )
+    return _trivial_on(B, ms, gens) and all(at[x][g] == at[g][x] for x in ms for g in gens)
 
 
 def subbraces(B: SkewBrace) -> list[Subbrace]:
@@ -72,10 +108,12 @@ def subbraces(B: SkewBrace) -> list[Subbrace]:
 
 
 def is_lambda_invariant(B: SkewBrace, mask: ElementSet) -> bool:
-    # each lambda map is a bijection, so mapping the set into itself is
-    # mapping it onto itself
+    """Whether every lambda map sends the set into itself, decided on a in
+    B.mul.gens. Each lambda map is a bijection, so mapping the set into
+    itself is mapping it onto itself."""
     ms = members(mask)
-    return all(mask >> lam[x] & 1 for lam in B.lam for x in ms)
+    lam = B.lam
+    return all(mask >> lam[a][x] & 1 for a in B.mul.gens for x in ms)
 
 
 def is_ideal(B: SkewBrace, mask: ElementSet) -> bool:
@@ -154,9 +192,28 @@ def star_span(B: SkewBrace, x_mask: ElementSet, y_mask: ElementSet) -> ElementSe
 
 def brace_square(B: SkewBrace) -> ElementSet:
     """Star span of the whole brace with itself; zero exactly for trivial
-    braces, and the smallest ideal with trivial quotient."""
-    full = full_mask(B.n)
-    return star_span(B, full, full)
+    braces, and the smallest ideal with trivial quotient.
+
+    It is the normal closure N in (B,+) of the star(a, g) = lambda_a(g) - g
+    with a in S = B.mul.gens and g in T = B.add.gens. The star span is
+    normal in (B,+),
+
+        t + star(a, b) - t = -star(a, t) + star(a, t + b),
+
+    so it holds N. Conversely,
+
+        star(a, b + g) = star(a, b) + b + star(a, g) - b,
+
+    so by induction on words in T every star(a, b) lies in N once every
+    star(a, g) does; and the a for which star(a, b) lies in N for all b
+    are closed under *, as
+
+        star(a*a', b) = lambda_a(lambda_a'(b)) - b
+                      = star(a, lambda_a'(b)) + star(a', b),
+
+    and hold 0, so they are all of B once they hold S.
+    """
+    return normal_closure(B.add, (star(B, a, g) for a in B.mul.gens for g in B.add.gens))
 
 
 def ker_lambda(B: SkewBrace) -> ElementSet:
@@ -197,7 +254,7 @@ def _soluble_chain(
     if B.n == 1:
         return [1]
     full = full_mask(B.n)
-    if is_abelian_carrier(B, full):
+    if is_trivial(B) and is_almost_trivial(B):  # an abelian brace
         return [1, full]
     if ideal_list is None:
         ideal_list = ideals(B)

@@ -143,14 +143,15 @@ def associativity_failure_by_lists(rows, ks):
     return None
 
 
-def law_failure_by_lists(add, mul, cs):
-    """The first triple (a, b, c) with c in cs and a*(b+c) != a*b - a +
-    a*c, in the order of a, then b, then c; None when there is none. The
-    list comprehension loop braces._law_failure was written from, kept as
-    the reference for its itemgetter form; mul may be any table."""
+def law_failure_by_lists(add, mul, as_, cs):
+    """The first triple (a, b, c) with a in as_, c in cs and a*(b+c) !=
+    a*b - a + a*c, in the order of a in as_, then b, then c; None when
+    there is none. The list comprehension loop braces._law_failure was
+    written from, kept as the reference for its itemgetter form; mul may
+    be any table."""
     n = len(add)
     plus = list(zip(*add))  # plus[c][b] = b + c
-    for a in range(n):
+    for a in as_:
         mrow = mul[a]
         ab_minus_a = [plus[_neg(add, a)][x] for x in mrow]
         first = None
@@ -164,6 +165,27 @@ def law_failure_by_lists(add, mul, cs):
         if first is not None:
             return (a, *first)
     return None
+
+
+def first_group_failure(table):
+    """How a square table fails to be a group, in the order a full check
+    meets it: ("identity",) without a two-sided identity, ("row", i) or
+    ("column", j) for the first row, then column, that is not a
+    permutation, then ("associativity", (i, j, k)) for the first
+    non-associative triple; None for a group."""
+    n = len(table)
+    if not any(
+        all(table[e][x] == x and table[x][e] == x for x in range(n)) for e in range(n)
+    ):
+        return ("identity",)
+    for i, row in enumerate(table):
+        if sorted(row) != list(range(n)):
+            return ("row", i)
+    for j in range(n):
+        if sorted(table[i][j] for i in range(n)) != list(range(n)):
+            return ("column", j)
+    triple = first_nonassociative(table)
+    return None if triple is None else ("associativity", triple)
 
 
 def changed_cell(rng, table, first: int = 0):
@@ -221,18 +243,22 @@ def skew_braces_bruteforce(n: int) -> dict:
 
 
 def subgroups_bruteforce(table, inv) -> list[int]:
-    """Masks of closure-stable subsets containing 0."""
+    """Masks of closure-stable subsets containing 0, in increasing order,
+    among the subsets whose size divides n (Lagrange)."""
     n = len(table)
     out = []
-    for bits in range(1 << (n - 1)):
-        mask = (bits << 1) | 1
-        ms = [i for i in range(n) if (mask >> i) & 1]
-        ok = all((mask >> inv[a]) & 1 for a in ms) and all(
-            (mask >> table[a][b]) & 1 for a in ms for b in ms
-        )
-        if ok:
-            out.append(mask)
-    return out
+    for k in range(1, n + 1):
+        if n % k:
+            continue
+        for rest in itertools.combinations(range(1, n), k - 1):
+            ms = (0, *rest)
+            mask = sum([1 << i for i in ms])
+            ok = all((mask >> inv[a]) & 1 for a in ms) and all(
+                (mask >> table[a][b]) & 1 for a in ms for b in ms
+            )
+            if ok:
+                out.append(mask)
+    return sorted(out)
 
 
 def generated_subgroup_bruteforce(table, gens) -> int:

@@ -35,6 +35,7 @@ LARGE_ANALYZE_DIGEST = "b7c5ec795df3faec050f2cbc2fafcea8ce41a1e5436c8dfe0cd68c3e
 ISOMORPHISM_DIGEST = "520ae921df12e099ddc00b5dbffaaf1a730dfbed8a6ddbfab4df6f292e5bc898"
 ERROR_LINES_DIGEST = "fd0717f4098b0a80fc74503a2c295e2120d3af47f90e2d7254e4408d2ab7d546"
 LARGE_FILE_COMMANDS_DIGEST = "1dd47e03f62c4943f93bdc7e4257ee6153ad2dff763901e8b4b202d4f50c04cb"
+ORDER_64_ANALYZE_DIGEST = "e4d0df49089c3a35183c0fd9e81694937c8652edfcdf90ca5a22c869599b71d0"
 
 FILE_COMMANDS = ("verify", "analyze", "cauchy", "ybe")
 
@@ -293,3 +294,27 @@ def test_file_commands_digest_orders_16_to_64(tmp_path, capsys):
             h.update(f"{path.name} ".encode())
             _run(h, capsys, [cmd, str(path), "--json"])
     assert h.hexdigest() == LARGE_FILE_COMMANDS_DIGEST
+
+
+def _order_64_analyze_braces():
+    """Braces of orders 48 to 64 for analyze: the trivial and almost
+    trivial braces on C2^6 (2825 subgroups), the almost trivial brace on
+    D8 x D8, and the products of PRODUCT_PAIRS of order 48 and up."""
+    c2 = cyclic_group(2)
+    c2_6 = c2
+    for _ in range(5):
+        c2_6 = direct_product(c2_6, c2)
+    for mode in ("trivial", "almost_trivial"):
+        yield f"C2^6_{mode}", from_group(c2_6, mode)
+    yield "D8xD8_almost_trivial", from_group(
+        direct_product(dihedral_group(8), dihedral_group(8)), "almost_trivial"
+    )
+    for name, B in product_braces():
+        if B.n >= 48:
+            yield name, B
+
+
+def test_analyze_digest_orders_48_to_64(tmp_path, capsys):
+    braces = _order_64_analyze_braces()
+    digest = _file_commands_digest(tmp_path, capsys, braces, ("analyze",), ["--json"])
+    assert digest == ORDER_64_ANALYZE_DIGEST

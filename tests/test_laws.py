@@ -1,17 +1,22 @@
 """Property tests of the law checks against the O(n^3) oracles.
 
 make_group decides associativity on a generating set (Light's test), and
-assemble, is_two_sided and swap decide the compatibility law on generators
-of the additive group. Every group and catalog brace through order 15, and
+assemble, is_two_sided and swap decide the compatibility law on pairs of
+generators, a of the group playing the multiplication and c of the
+additive group. Every group and catalog brace through order 15, and
 products of orders 16 to 64, are corrupted with seeded random: one changed
 cell, a Latin-preserving 2x2 swap (a loop that still passes the Latin
 check), and, for the law, a corrupted second table over a valid group.
-Each verdict must agree with the full scan in tests/oracles.py, and each
-error must name the first triple that scan finds. On every such table the
-two law kernels, which compose rows with operator.itemgetter, must also
-name the same first triple as the list comprehension loops they replaced,
-kept in tests/oracles.py; at orders 1 and 2 they are checked on every
-table, where an itemgetter of one index returns a scalar.
+A corrupted table that is not a group goes through make_skew_brace, which
+must raise the failure tests/oracles.py finds first. Group tables (the
+brace's own, the same relabeled, relabeled tables of other catalog braces
+of the same order, and the corruptions that stay groups) go through
+assemble, is_two_sided and swap, whose verdicts must agree with the full
+scan and whose errors must name the first triple it finds. On every table the two law kernels, which compose
+rows with operator.itemgetter, must also name the same first triple as
+the list comprehension loops they replaced, kept in tests/oracles.py; at
+orders 1 and 2 they are checked on every table, where an itemgetter of
+one index returns a scalar.
 """
 
 import itertools
@@ -19,12 +24,20 @@ import random
 
 import pytest
 
-from sbk.braces import SkewBrace, _law_failure, assemble, is_two_sided, swap
+from sbk.braces import (
+    SkewBrace,
+    _law_failure,
+    assemble,
+    is_two_sided,
+    make_skew_brace,
+    swap,
+)
 from sbk.enumeration import all_skew_braces, groups_of_order
 from sbk.errors import LeftDistributivityFails, NoIdentity, NotAssociative, NotLatinSquare
 from sbk.groups import (
     FiniteGroup,
     _associativity_failure,
+    _spanning,
     alternating_group_4,
     cyclic_group,
     dicyclic_group,
@@ -65,22 +78,23 @@ def _product(B1: SkewBrace, B2: SkewBrace) -> SkewBrace:
     return assemble(direct_product(B1.add, B2.add), direct_product(B1.mul, B2.mul))
 
 
-def _large_braces() -> list[SkewBrace]:
-    """Products of catalog braces, of orders 16, 24, 32, 48 and 64."""
-    cat = lambda n, i: all_skew_braces(n).entries[i]  # noqa: E731
-    return [
-        _product(cat(4, 3), cat(4, 2)),
-        _product(cat(6, 3), cat(4, 3)),
-        _product(cat(8, 25), cat(4, 0)),
-        _product(cat(12, 5), cat(4, 1)),
-        _product(cat(8, 25), cat(8, 3)),
-    ]
+# Products of catalog braces, of orders 16, 24, 32, 48 and 64, as the
+# (order, index) pairs of their factors.
+LARGE_FACTORS = (
+    ((4, 3), (4, 2)),
+    ((6, 3), (4, 3)),
+    ((8, 25), (4, 0)),
+    ((12, 5), (4, 1)),
+    ((8, 25), (8, 3)),
+)
 
 
-def _any_table(table) -> FiniteGroup:
-    """A FiniteGroup around any table, for the side of the law that plays
-    the multiplication: the law checks read only its table."""
-    return FiniteGroup(n=len(table), table=tuple(map(tuple, table)), inv=())
+def _catalog_product(factors, shift: int = 0) -> SkewBrace:
+    """The product of the catalog braces at the given (order, index) pairs,
+    each index moved on by shift within its order."""
+    B1, B2 = (all_skew_braces(n).entries for n, _ in factors)
+    (_, i1), (_, i2) = factors
+    return _product(B1[(i1 + shift) % len(B1)], B2[(i2 + shift) % len(B2)])
 
 
 def _transpose(table):
@@ -114,11 +128,14 @@ def _assert_associativity_kernel_agrees(table) -> None:
 
 
 def _assert_law_kernel_agrees(add: FiniteGroup, table) -> None:
-    """_law_failure names the list loop's first triple, with c over every
-    element and over the generators the law is decided on."""
-    for cs in (range(add.n), add.gens):
-        expected = oracles.law_failure_by_lists(add.table, table, cs)
-        assert _law_failure(add, table, cs) == expected
+    """_law_failure names the list loop's first triple, with a over every
+    element and over the table's spanning set, and c over every element
+    and over the additive generators: the ranges the law is decided on."""
+    n = add.n
+    for as_ in (range(n), _spanning(table)):
+        for cs in (range(n), add.gens):
+            expected = oracles.law_failure_by_lists(add.table, table, as_, cs)
+            assert _law_failure(add, table, as_, cs) == expected
 
 
 def _all_tables(n: int):
@@ -136,9 +153,11 @@ def test_law_kernels_match_the_list_loops_on_every_table(n):
         for ks in index_lists:
             expected = oracles.associativity_failure_by_lists(table, ks)
             assert _associativity_failure(table, ks) == expected
-            law_expected = oracles.law_failure_by_lists(add.table, table, ks)
-            assert _law_failure(add, table, ks) == law_expected
-            failures += (expected is not None) + (law_expected is not None)
+            for as_, cs in ((range(n), ks), (ks, range(n))):
+                law_expected = oracles.law_failure_by_lists(add.table, table, as_, cs)
+                assert _law_failure(add, table, as_, cs) == law_expected
+                failures += law_expected is not None
+            failures += expected is not None
     assert (failures > 0) == (n > 1)
 
 
@@ -184,50 +203,108 @@ def test_make_group_agrees_with_full_associativity_scan_orders_16_to_64():
     assert verdicts.get("not associative", 0) >= len(_large_groups())
 
 
-def _check_law(B: SkewBrace, rng: random.Random) -> int:
-    """Check assemble, is_two_sided and swap against left_compatible on the
-    brace and on corrupted second tables; returns how many pairs failed
-    the law. Corruptions keep row and column 0, so 0 stays a two-sided
-    identity of every table and left_compatible, which skips a = 0, is the
-    full law."""
+def _relabeled_sides(braces: list[SkewBrace], side: str, rng: random.Random):
+    """The add or mul table of each brace, relabeled by a seeded
+    permutation fixing 0."""
+    for B in braces:
+        sigma = [0, *rng.sample(range(1, B.n), B.n - 1)]
+        yield oracles.relabel(getattr(B, side).table, sigma)
+
+
+def _next_two(entries: list[SkewBrace], i: int) -> list[SkewBrace]:
+    """The two braces after entry i, cyclically: other group tables of the
+    same order, which mostly break the law beside entry i's tables."""
+    return [entries[(i + k) % len(entries)] for k in (1, 2)]
+
+
+_GROUP_ERRORS = (NoIdentity, NotLatinSquare, NotAssociative)
+
+
+def _group_failure(exc: Exception):
+    """The exception make_group raised, in the form of
+    oracles.first_group_failure."""
+    if isinstance(exc, NoIdentity):
+        return ("identity",)
+    if isinstance(exc, NotLatinSquare):
+        return (exc.kind, exc.index)
+    return ("associativity", exc.triple)
+
+
+def _groups_among(tables, make) -> list:
+    """The tables that are groups. make_skew_brace, given make(t) for each
+    other table t, must raise the failure the oracle finds first in t."""
+    out = []
+    for t in tables:
+        expected = oracles.first_group_failure(t)
+        if expected is None:
+            out.append(t)
+            continue
+        with pytest.raises(_GROUP_ERRORS) as info:
+            make_skew_brace(*make(t))
+        assert _group_failure(info.value) == expected
+    return out
+
+
+def _check_law(B: SkewBrace, others: list[SkewBrace], rng: random.Random) -> tuple[int, int]:
+    """Check assemble, is_two_sided and swap against left_compatible on
+    group tables beside B's other table: B's own, relabeled or not, those
+    of the other braces of its order, relabeled, and the corruptions that
+    stay groups. make_skew_brace must reject the other corruptions. Returns
+    how many pairs failed the law, and how many of them were pairs of
+    groups that assemble or swap rejected. Corruptions and relabelings keep row
+    and column 0, so 0 stays a two-sided identity of every table and
+    left_compatible, which skips a = 0, is the full law."""
     n = B.n
     add, mul = B.add.table, B.mul.table
     sigma = [0, *rng.sample(range(1, n), n - 1)]
-    muls = [mul, oracles.relabel(mul, sigma), *_corruptions(rng, mul, 1)]
-    failed = 0
-    for table in muls:
+    failed = rejected = 0
+    # assemble and is_two_sided decide the law for (add, table)
+    muls = [mul, oracles.relabel(mul, sigma), *_relabeled_sides(others, "mul", rng)]
+    corrupted = _corruptions(rng, mul, 1)
+    for table in muls + corrupted:
         _assert_law_kernel_agrees(B.add, table)
         _assert_law_kernel_agrees(B.add, _transpose(table))
-        compatible = oracles.left_compatible(add, table)
+        failed += not oracles.left_compatible(add, table)
+    for table in muls + _groups_among(corrupted, lambda t: (add, t)):
+        G = make_group(table)
         try:
-            assemble(B.add, _any_table(table))
-            assert compatible
+            assemble(B.add, G)
+            assert oracles.left_compatible(add, table)
         except LeftDistributivityFails as exc:
-            assert not compatible
             assert exc.triple == oracles.first_incompatible(add, table)
-            failed += 1
-        pair = SkewBrace(n=n, add=B.add, mul=_any_table(table), lam=())
+            rejected += 1
+        pair = SkewBrace(n=n, add=B.add, mul=G, lam=())
         assert is_two_sided(pair) == oracles.left_compatible(add, _transpose(table))
-    # swap decides the law for (mul, add): corrupt the table playing *
-    adds = [add, oracles.relabel(add, sigma), *_corruptions(rng, add, 1)]
-    for table in adds:
+    # swap decides the law for (mul, table): vary the table playing *
+    adds = [add, oracles.relabel(add, sigma), *_relabeled_sides(others, "add", rng)]
+    corrupted = _corruptions(rng, add, 1)
+    for table in adds + corrupted:
         _assert_law_kernel_agrees(B.mul, table)
-        pair = SkewBrace(n=n, add=_any_table(table), mul=B.mul, lam=())
-        compatible = oracles.left_compatible(mul, table)
-        assert (swap(pair) is not None) == compatible
-        failed += not compatible
-    return failed
+        failed += not oracles.left_compatible(mul, table)
+    for table in adds + _groups_among(corrupted, lambda t: (t, mul)):
+        pair = SkewBrace(n=n, add=make_group(table), mul=B.mul, lam=())
+        swapped = swap(pair)
+        assert (swapped is not None) == oracles.left_compatible(mul, table)
+        rejected += swapped is None
+    return failed, rejected
 
 
 @pytest.mark.parametrize("n", SMALL_ORDERS)
 def test_law_checks_agree_with_full_compatibility_scan(n):
     rng = random.Random(f"law:{n}")
-    failed = sum(_check_law(B, rng) for B in all_skew_braces(n).entries)
+    entries = all_skew_braces(n).entries
+    counts = [_check_law(B, _next_two(entries, i), rng) for i, B in enumerate(entries)]
+    failed, rejected = map(sum, zip(*counts))
     if n > 2:
         assert failed > 0
+    if n > 3:
+        # every group table of order 3 with identity 0 is the same
+        assert rejected > 0
 
 
 def test_law_checks_agree_with_full_compatibility_scan_orders_16_to_64():
     rng = random.Random("law:large")
-    for B in _large_braces():
-        assert _check_law(B, rng) > 0
+    for factors in LARGE_FACTORS:
+        B = _catalog_product(factors)
+        failed, rejected = _check_law(B, [_catalog_product(factors, 1)], rng)
+        assert failed >= rejected > 0
