@@ -9,6 +9,10 @@ Identical invocations produce byte-identical reports: workers only spread
 independent per-order jobs and results are re-sorted before printing. The
 process pool is imported only when one is started, so a command that
 reads one file never loads multiprocessing.
+
+Each command is declared once, in COMMANDS. main builds the parser of the
+invoked command only; no arguments, a leading flag or an unknown command
+get the parser of every command, so help and usage errors read the same.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import argparse
 import os
 import sys
 from functools import partial
-from typing import Any, NoReturn, Optional
+from typing import Any, Callable, NamedTuple, NoReturn, Optional
 
 from . import serialize
 from .bitset import members
@@ -53,51 +57,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> NoReturn:
         raise BadInput(f"{self.prog}: {message}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="sbk", description="Finite skew brace toolkit.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="Validate a brace file and print its flags.")
-    p.add_argument("path")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("analyze", help="Full structure report for a brace file.")
-    p.add_argument("path")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("cauchy", help="Prime-order subbrace witnesses for a brace file.")
-    p.add_argument("path")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("enumerate", help="Enumerate all braces of one order.")
-    p.add_argument("order", type=int)
-    p.add_argument("--two-sided", action="store_true", dest="two_sided")
-    p.add_argument("--bi-skew", action="store_true", dest="bi_skew")
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("survey", help="Cauchy survey over all orders up to a bound.")
-    p.add_argument("n_max", type=int)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--workers", type=int, default=_default_workers())
-
-    p = sub.add_parser("ybe", help="Yang-Baxter solution of a brace file.")
-    p.add_argument("path")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser(
-        "harness",
-        help="Check prime witnesses for the structured classes up to a bound.",
-    )
-    p.add_argument("n_max", type=int)
-    p.add_argument("--two-sided", action="store_true", dest="two_sided")
-    p.add_argument("--bi-skew", action="store_true", dest="bi_skew")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--workers", type=int, default=_default_workers())
-
-    return parser
 
 
 def _print(text: str) -> None:
@@ -366,19 +325,82 @@ def cmd_harness(args: argparse.Namespace) -> int:
     return EXIT_HARNESS_VIOLATION if failures else EXIT_OK
 
 
+_Argument = tuple[tuple[str, ...], dict[str, Any]]
+
+_PATH: _Argument = (("path",), {})
+_JSON: _Argument = (("--json",), {"action": "store_true"})
+_TWO_SIDED: _Argument = (("--two-sided",), {"action": "store_true", "dest": "two_sided"})
+_BI_SKEW: _Argument = (("--bi-skew",), {"action": "store_true", "dest": "bi_skew"})
+_N_MAX: _Argument = (("n_max",), {"type": int})
+_WORKERS: _Argument = (("--workers",), {"type": int, "default": _default_workers})
+
+
+class _Command(NamedTuple):
+    help: str
+    arguments: tuple[_Argument, ...]  # add_argument's (flags, keywords), in order
+    handler: Callable[[argparse.Namespace], int]
+
+
+# Every command once. A default that is a function is called when the
+# parser is built, so --workers follows the CPU count of each call.
+COMMANDS: dict[str, _Command] = {
+    "verify": _Command(
+        "Validate a brace file and print its flags.", (_PATH, _JSON), cmd_verify
+    ),
+    "analyze": _Command(
+        "Full structure report for a brace file.", (_PATH, _JSON), cmd_analyze
+    ),
+    "cauchy": _Command(
+        "Prime-order subbrace witnesses for a brace file.", (_PATH, _JSON), cmd_cauchy
+    ),
+    "enumerate": _Command(
+        "Enumerate all braces of one order.",
+        (
+            (("order",), {"type": int}),
+            _TWO_SIDED,
+            _BI_SKEW,
+            (("--out",), {}),
+            _JSON,
+        ),
+        cmd_enumerate,
+    ),
+    "survey": _Command(
+        "Cauchy survey over all orders up to a bound.", (_N_MAX, _JSON, _WORKERS), cmd_survey
+    ),
+    "ybe": _Command("Yang-Baxter solution of a brace file.", (_PATH, _JSON), cmd_ybe),
+    "harness": _Command(
+        "Check prime witnesses for the structured classes up to a bound.",
+        (_N_MAX, _TWO_SIDED, _BI_SKEW, _JSON, _WORKERS),
+        cmd_harness,
+    ),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of only the one named. Either reads
+    a call of that command the same way."""
+    parser = _Parser(prog="sbk", description="Finite skew brace toolkit.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS if command is None else (command,):
+        spec = COMMANDS[name]
+        p = sub.add_parser(name, help=spec.help)
+        for flags, keywords in spec.arguments:
+            default = keywords.get("default")
+            if callable(default):
+                keywords = {**keywords, "default": default()}
+            p.add_argument(*flags, **keywords)
+    return parser
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    handlers = {
-        "verify": cmd_verify,
-        "analyze": cmd_analyze,
-        "cauchy": cmd_cauchy,
-        "enumerate": cmd_enumerate,
-        "survey": cmd_survey,
-        "ybe": cmd_ybe,
-        "harness": cmd_harness,
-    }
+    if argv is None:
+        argv = sys.argv[1:]
+    # a first word that names no command (none, a flag, a typo) gets every
+    # command's parser, so help and usage errors list them all
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        args = build_parser(command).parse_args(argv)
+        return COMMANDS[args.command].handler(args)
     except SkewBraceKitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID

@@ -36,6 +36,7 @@ from .groups import (
     FiniteGroup,
     Perm,
     _group,
+    _order_profile,
     _spanning,
     alternating_group_4,
     automorphism_group,
@@ -446,9 +447,16 @@ def all_skew_braces(n: int) -> BraceCatalog:
         else []
     )
 
+    # isomorphic groups share their sorted order profile, so a brace's
+    # multiplicative group is tested only against the groups of its profile
+    profiles = [sorted(_order_profile([H.table], n)) for H in groups] if canon else []
+
     def mul_type_key(b: SkewBrace) -> tuple[tuple[int, ...], ...]:
+        profile = sorted(_order_profile([b.mul.table], n))
         return next(
-            c for H, c in zip(groups, canon) if is_isomorphic(b.mul, H) is not None
+            c
+            for H, c, p in zip(groups, canon, profiles)
+            if p == profile and is_isomorphic(b.mul, H) is not None
         )
 
     entries: list[SkewBrace] = []

@@ -321,18 +321,24 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> ElementSet:
 
 
 def is_subgroup(G: FiniteGroup, mask: ElementSet) -> bool:
+    """Whether the set M is a subgroup, decided on right products by the
+    elements S chosen from M by _spanning, whose right products reach
+    every element of M from the identity e: |M| |S| products with
+    |S| <= log2(n), where a scan of all pairs takes |M|^2.
+
+    If M holds e and ms lies in M for all m in M and s in S, then M is
+    closed under products: each b in M is a product s1 s2 ... sk of
+    elements of S, so ab = (...((a s1) s2) ...) sk stays in M step by
+    step. A finite nonempty subset of a group closed under products is a
+    subgroup (the inverse of a is a power of a), so no inverse is looked
+    up.
+    """
     if not contains(mask, 0):
         return False
     ms = members(mask)
     table = G.table
-    for a in ms:
-        if not contains(mask, G.inv[a]):
-            return False
-        row = table[a]
-        for b in ms:
-            if not mask >> row[b] & 1:
-                return False
-    return True
+    steps = _spanning(table, among=ms)
+    return all(mask >> table[a][s] & 1 for a in ms for s in steps)
 
 
 def subgroups(G: FiniteGroup) -> list[ElementSet]:

@@ -166,18 +166,19 @@ def test_unreadable_file_is_one_error_line(tmp_path, content):
     _one_error_line(result, f"error: cannot read JSON from {path}: ")
 
 
+BAD_USAGE = {
+    "bad_int": ["survey", "abc"],
+    "unknown_flag": ["harness", "5", "--bogus"],
+    "missing_order": ["enumerate"],
+    "unknown_command": ["frobnicate"],
+    "bad_workers": ["survey", "3", "--workers", "x"],
+}
+
+COMMAND_NAMES = ["verify", "analyze", "cauchy", "enumerate", "survey", "ybe", "harness"]
+
+
 # argparse's own exit code 2 would read as a harness violation
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["survey", "abc"],
-        ["harness", "5", "--bogus"],
-        ["enumerate"],
-        ["frobnicate"],
-        ["survey", "3", "--workers", "x"],
-    ],
-    ids=["bad_int", "unknown_flag", "missing_order", "unknown_command", "bad_workers"],
-)
+@pytest.mark.parametrize("args", list(BAD_USAGE.values()), ids=list(BAD_USAGE))
 def test_bad_usage_is_one_error_line_and_exit_1(args):
     _one_error_line(run_cli(args))
 
@@ -186,6 +187,98 @@ def test_help_exits_0():
     result = run_cli(["--help"])
     assert result.returncode == 0
     assert result.stdout.startswith("usage: sbk")
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv); help exits by SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*([cmd, "--help"] for cmd in COMMAND_NAMES), *([cmd] for cmd in COMMAND_NAMES)]
+    + list(BAD_USAGE.values()),
+    ids="_".join,
+)
+def test_one_command_parser_reads_like_the_full_tree(argv, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def recording(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    alone = _outcome(argv, capsys)
+    assert built == [argv[0] if argv[0] in COMMAND_NAMES else None]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert _outcome(argv, capsys) == alone
+    assert alone[0] in (0, 1)
+
+
+def test_help_lists_every_command(capsys):
+    assert list(cli.COMMANDS) == COMMAND_NAMES
+    code, out, err = _outcome(["--help"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: sbk [-h] {" + ",".join(COMMAND_NAMES) + "} ...\n")
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")]
+    assert [name for name in listed if name in COMMAND_NAMES] == COMMAND_NAMES
+
+
+def _count_parsers(monkeypatch):
+    made = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    return made
+
+
+def test_a_command_builds_two_parsers(tmp_path, capsys, monkeypatch):
+    path = write_brace(tmp_path, from_group(cyclic_group(4), "trivial"))
+    made = _count_parsers(monkeypatch)
+    assert main(["verify", path]) == 0
+    assert made == ["sbk", "sbk verify"]
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    path = write_brace(tmp_path, from_group(cyclic_group(4), "trivial"))
+    made = _count_parsers(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["sbk", "verify", path])
+    assert main() == 0
+    assert "valid skew brace of order 4" in capsys.readouterr().out
+    assert made == ["sbk", "sbk verify"]
+
+
+def test_workers_default_follows_the_cpu_count_of_each_call(capsys, monkeypatch):
+    # a parser kept from one call to the next would keep the first default
+    seen = []
+
+    def record(n_max, workers, job):
+        seen.append(workers)
+        return []
+
+    monkeypatch.setattr(cli, "_run_per_order", record)
+    for cpus in (3, 5):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(["survey", "1"]) == 0
+    assert seen == [3, 5]
+
+
+@pytest.mark.parametrize("cmd", COMMAND_NAMES)
+def test_module_entry_point_prints_each_command_help(cmd):
+    result = run_cli([cmd, "--help"])
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert any(line.startswith(f"usage: sbk {cmd} ") for line in result.stdout.splitlines())
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])

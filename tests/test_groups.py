@@ -27,6 +27,7 @@ from sbk.groups import (
     group_properties,
     is_automorphism,
     is_isomorphic,
+    is_subgroup,
     make_group,
     subgroups,
     sylow_p,
@@ -211,6 +212,30 @@ def test_subgroups_match_bruteforce(n):
         for H in [G, *relabeled]:
             expected = sorted(oracles.subgroups_bruteforce(H.table, list(H.inv)))
             assert sorted(subgroups(H)) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_is_subgroup_matches_bruteforce(n):
+    for G in _groups_of(n):
+        expected = set(oracles.subgroups_bruteforce(G.table, list(G.inv)))
+        if n <= 10:
+            masks = range(1 << n)
+        else:
+            rng = random.Random(n)
+            masks = [*expected]
+            # each subgroup with one element more, and with one non-identity
+            # element less: sets that hold 0 and are nearly closed
+            for H in expected:
+                outside = [x for x in range(n) if not H >> x & 1]
+                inside = members(H)[1:]
+                if outside:
+                    masks.append(H | 1 << rng.choice(outside))
+                if inside:
+                    masks.append(H ^ 1 << rng.choice(inside))
+            masks += [rng.getrandbits(n) for _ in range(300)]
+            masks += [rng.getrandbits(n) | 1 for _ in range(300)]
+        for mask in masks:
+            assert is_subgroup(G, mask) == (mask in expected), (G.name, members(mask))
 
 
 def _c2_power(k):
