@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .bitset import ElementSet
+from .bitset import ElementSet, members
 from .braces import BraceFlags, SkewBrace, classify
 from .enumeration import all_skew_braces
 from .errors import NotPrime, PrimeDoesNotDivideOrder
@@ -70,7 +70,7 @@ def find_subbrace_with_strategy(
         cyc = generated_subgroup(B.add, [x])
         if B.lam[x][x] == x:
             return cyc, STRATEGY_FIXED_POINT
-        if _mul_closed(B, cyc, [x]):
+        if _mul_closed(B, cyc, [x], members(cyc)):
             return cyc, STRATEGY_BRUTE_FORCE
     return None, STRATEGY_BRUTE_FORCE
 

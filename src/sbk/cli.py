@@ -31,13 +31,13 @@ from .enumeration import SUPPORTED_ORDERS, all_skew_braces
 from .errors import BadInput, SkewBraceKitError, UnsupportedOrder
 from .groups import prime_divisors
 from .substructure import (
+    _carrier_lattice,
     _ideals_among,
     _minimal,
     _soluble_chain,
     brace_centers,
     brace_square,
     ker_lambda,
-    subbrace_carriers,
 )
 from .ybe import to_solution
 
@@ -83,14 +83,15 @@ def _analysis_obj(B) -> dict[str, Any]:
     # solubility chain are all read from the same carriers
     flags = classify(B)
     centers = brace_centers(B)
-    carriers = subbrace_carriers(B)
-    ideal_list = _ideals_among(B, carriers)
-    chain = _soluble_chain(B, ideal_list)
+    carriers = _carrier_lattice(B)
+    ideal_lattice = _ideals_among(B, carriers)
+    ideal_list = list(ideal_lattice)
+    chain = _soluble_chain(B, ideal_lattice)
     bopp = opposite(B)
     return {
         "order": B.n,
         "flags": flags.as_dict(),
-        "subbraces": carriers,
+        "subbraces": list(carriers),
         "ideals": ideal_list,
         "minimal_ideals": _minimal(ideal_list),
         "centers": {

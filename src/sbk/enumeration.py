@@ -44,7 +44,6 @@ from .groups import (
     dicyclic_group,
     dihedral_group,
     direct_product,
-    is_isomorphic,
     table_isomorphisms,
     trivial_group,
 )
@@ -432,6 +431,10 @@ def _brace_from_assignment(
     return _brace(G, _group(mul))
 
 
+def _sorted_profile(G: FiniteGroup, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(_order_profile([G.table], n)))
+
+
 @lru_cache(maxsize=None)
 def all_skew_braces(n: int) -> BraceCatalog:
     """Catalog of all skew braces of order n up to isomorphism, for n in
@@ -447,17 +450,13 @@ def all_skew_braces(n: int) -> BraceCatalog:
         else []
     )
 
-    # isomorphic groups share their sorted order profile, so a brace's
-    # multiplicative group is tested only against the groups of its profile
-    profiles = [sorted(_order_profile([H.table], n)) for H in groups] if canon else []
+    # isomorphic groups share their sorted order profile, and the groups of
+    # each supported order have pairwise distinct ones (a test pins this),
+    # so the profile of a brace's multiplicative group names its type
+    canon_of = {_sorted_profile(H, n): c for H, c in zip(groups, canon)}
 
     def mul_type_key(b: SkewBrace) -> tuple[tuple[int, ...], ...]:
-        profile = sorted(_order_profile([b.mul.table], n))
-        return next(
-            c
-            for H, c, p in zip(groups, canon, profiles)
-            if p == profile and is_isomorphic(b.mul, H) is not None
-        )
+        return canon_of[_sorted_profile(b.mul, n)]
 
     entries: list[SkewBrace] = []
     provenance: list[int] = []

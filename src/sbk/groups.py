@@ -47,7 +47,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence
 
-from .bitset import ElementSet, contains, full_mask, mask_of, members, size, sort_key
+from .bitset import ElementSet, contains, full_mask, mask_of, members, size
 from .errors import (
     BadInput,
     GroupTooLarge,
@@ -58,6 +58,8 @@ from .errors import (
 )
 
 Perm = tuple[int, ...]
+# each subgroup's mask -> (elements generating it, its members ascending)
+Lattice = dict[ElementSet, tuple[list[int], list[int]]]
 
 MAX_GROUP_ORDER = 64
 
@@ -343,11 +345,13 @@ def is_subgroup(G: FiniteGroup, mask: ElementSet) -> bool:
 
 def subgroups(G: FiniteGroup) -> list[ElementSet]:
     """All subgroups, sorted by size then by member sequence."""
-    return sorted(_subgroup_lattice(G), key=sort_key)
+    return list(_subgroup_lattice(G))
 
 
-def _subgroup_lattice(G: FiniteGroup) -> dict[ElementSet, list[int]]:
-    """Every subgroup, each with a list of elements generating it.
+def _subgroup_lattice(G: FiniteGroup) -> Lattice:
+    """Every subgroup, each with a list of elements generating it and its
+    members, sorted by size then by member sequence. The members are
+    listed once here, for every later test on the subgroup to read.
 
     Cyclic subgroups seed the search; the lattice is completed by joining
     each known subgroup H with elements outside it until no new subgroup
@@ -371,12 +375,14 @@ def _subgroup_lattice(G: FiniteGroup) -> dict[ElementSet, list[int]]:
     gens_of: dict[ElementSet, list[int]] = {}
     for x, cyc in enumerate(cyclic):
         gens_of.setdefault(cyc, [x])
+    lattice: Lattice = {}
     frontier = sorted(gens_of)
     while frontier:
         new: list[ElementSet] = []
         for sub in frontier:
             sub_gens = gens_of[sub]
             hs = members(sub)
+            lattice[sub] = (sub_gens, hs)
             if len(hs) == 1:
                 continue  # every join with the trivial subgroup is cyclic
             coset = itemgetter(*hs)
@@ -404,7 +410,7 @@ def _subgroup_lattice(G: FiniteGroup) -> dict[ElementSet, list[int]]:
                     gens_of[join] = gens
                     new.append(join)
         frontier = new
-    return gens_of
+    return dict(sorted(lattice.items(), key=lambda item: (len(item[1][1]), item[1][1])))
 
 
 def _is_prime(p: int) -> bool:
@@ -490,13 +496,20 @@ def is_normal(G: FiniteGroup, mask: ElementSet) -> bool:
     """Whether gHg^-1 lies in H for every g. The g for which it does are
     closed under products, (gh)H(gh)^-1 = g(hHh^-1)g^-1, so testing the
     generators in G.gens decides it."""
+    return _conjugates_inside(G, mask, members(mask))
+
+
+def _conjugates_inside(G: FiniteGroup, mask: ElementSet, xs: Iterable[int]) -> bool:
+    """Whether gxg^-1 lies in the mask for every g in G.gens and x in xs.
+    With xs the members, this is is_normal. With xs generating the
+    subgroup mask it decides the same, since conjugation by g is an
+    automorphism and maps <xs> into the mask once it maps xs there."""
     table = G.table
     inv = G.inv
-    ms = members(mask)
     for g in G.gens:
         row = table[g]
         g_inv = inv[g]
-        for s in ms:
+        for s in xs:
             if not mask >> table[row[s]][g_inv] & 1:
                 return False
     return True

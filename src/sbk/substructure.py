@@ -14,12 +14,14 @@ exactly when it maps X into M, and its fixed points form a subgroup.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .bitset import ElementSet, contains, full_mask, mask_of, members, size, sort_key
+from .bitset import ElementSet, contains, full_mask, mask_of, members
 from .braces import SkewBrace, _brace, is_almost_trivial, is_trivial, star
 from .errors import NotAnIdeal
 from .groups import (
+    Lattice,
+    _conjugates_inside,
     _group,
     _spanning,
     _subgroup_lattice,
@@ -52,20 +54,25 @@ class QuotientBrace(NamedTuple):
 
 def subbrace_carriers(B: SkewBrace) -> list[ElementSet]:
     """Subsets that are subgroups of both operations at once, in the
-    order of `subgroups`: the additive subgroups closed under *, each
-    tested on the generators the lattice search found it with."""
+    order of `subgroups`."""
+    return list(_carrier_lattice(B))
+
+
+def _carrier_lattice(B: SkewBrace) -> Lattice:
+    """The additive subgroups closed under *, in the order of `subgroups`,
+    each with the generators and members the lattice search found."""
     lattice = _subgroup_lattice(B.add)
-    carriers = [m for m, gens in lattice.items() if _mul_closed(B, m, gens)]
-    return sorted(carriers, key=sort_key)
+    return {m: gm for m, gm in lattice.items() if _mul_closed(B, m, *gm)}
 
 
-def _mul_closed(B: SkewBrace, mask: ElementSet, gens: list[int]) -> bool:
-    """Whether the additive subgroup mask, generated by gens, is a subgroup
-    of (B,*). Since x*y = x + lambda_x(y), x*M lies in M for x in M exactly
-    when lambda_x(M) does, which holds once every lambda_x(g), g in gens,
-    lies in M. A finite set holding 0 and closed under * is a subgroup."""
+def _mul_closed(B: SkewBrace, mask: ElementSet, gens: list[int], ms: list[int]) -> bool:
+    """Whether the additive subgroup mask, generated by gens and with
+    members ms, is a subgroup of (B,*). Since x*y = x + lambda_x(y), x*M
+    lies in M for x in M exactly when lambda_x(M) does, which holds once
+    every lambda_x(g), g in gens, lies in M. A finite set holding 0 and
+    closed under * is a subgroup."""
     lam = B.lam
-    return all(mask >> lam[x][g] & 1 for x in members(mask) for g in gens)
+    return all(mask >> lam[x][g] & 1 for x in ms for g in gens)
 
 
 def is_trivial_carrier(B: SkewBrace, mask: ElementSet) -> bool:
@@ -74,10 +81,7 @@ def is_trivial_carrier(B: SkewBrace, mask: ElementSet) -> bool:
     additive subgroup, so y runs over a set that generates one holding the
     mask, chosen from the mask."""
     ms = members(mask)
-    return _trivial_on(B, ms, _spanning(B.add.table, among=ms))
-
-
-def _trivial_on(B: SkewBrace, ms: list[int], gens: tuple[int, ...]) -> bool:
+    gens = _spanning(B.add.table, among=ms)
     lam = B.lam
     return all(lam[x][g] == g for x in ms for g in gens)
 
@@ -86,20 +90,46 @@ def is_abelian_carrier(B: SkewBrace, mask: ElementSet) -> bool:
     """is_trivial_carrier, with + commutative on the set: a centralizer is
     a subgroup, so y again runs over generators."""
     ms = members(mask)
-    gens = _spanning(B.add.table, among=ms)
+    return _abelian_modulo(B, 1, _spanning(B.add.table, among=ms), ms)
+
+
+def _abelian_modulo(B: SkewBrace, ideal: ElementSet, gens: Iterable[int], ms: list[int]) -> bool:
+    """Whether x*y = x + y and x + y = y + x modulo the ideal I for all x
+    in ms and y in the additive subgroup J generated by gens: for J an
+    ideal holding I, whether J/I is an abelian brace; for I = {0}, whether
+    the operations agree and + commutes on ms.
+
+    For each x the y that pass each test form an additive subgroup holding
+    I, so y runs over gens. As x*y = x + lambda_x(y), the first test is
+    -y + lambda_x(y) in I, and if y and z pass it then so does y + z:
+
+        -(y + z) + lambda_x(y + z) = -z + i + lambda_x(z)
+                                   = (-z + i + z) + (-z + lambda_x(z)),
+
+    with i = -y + lambda_x(y) in I, which is normal in (B,+). The y with
+    -x - y + x + y in I are those whose coset commutes with x + I: the
+    preimage of a centralizer of (B,+)/I. The first set holds I as I is
+    lambda invariant, the second as a preimage.
+    """
+    lam = B.lam
     at = B.add.table
-    return _trivial_on(B, ms, gens) and all(at[x][g] == at[g][x] for x in ms for g in gens)
+    inv = B.add.inv
+    return all(
+        ideal >> at[inv[g]][lam[x][g]] & 1 and ideal >> at[inv[at[g][x]]][at[x][g]] & 1
+        for x in ms
+        for g in gens
+    )
 
 
 def subbraces(B: SkewBrace) -> list[Subbrace]:
-    carriers = subbrace_carriers(B)
-    ideal_set = set(_ideals_among(B, carriers))
+    carriers = _carrier_lattice(B)
+    ideal_lattice = _ideals_among(B, carriers)
     out = []
     for mask in carriers:
         out.append(
             Subbrace(
                 carrier=mask,
-                is_ideal=mask in ideal_set,
+                is_ideal=mask in ideal_lattice,
                 is_trivial_sub=is_trivial_carrier(B, mask),
                 is_abelian_sub=is_abelian_carrier(B, mask),
             )
@@ -111,9 +141,15 @@ def is_lambda_invariant(B: SkewBrace, mask: ElementSet) -> bool:
     """Whether every lambda map sends the set into itself, decided on a in
     B.mul.gens. Each lambda map is a bijection, so mapping the set into
     itself is mapping it onto itself."""
-    ms = members(mask)
+    return _lambda_maps_inside(B, mask, members(mask))
+
+
+def _lambda_maps_inside(B: SkewBrace, mask: ElementSet, xs: Iterable[int]) -> bool:
+    """Whether lambda_a(x) lies in the mask for a in B.mul.gens and x in
+    xs: is_lambda_invariant when xs are the members, and also when xs
+    generate the additive subgroup mask, as each lambda_a is additive."""
     lam = B.lam
-    return all(mask >> lam[a][x] & 1 for a in B.mul.gens for x in ms)
+    return all(mask >> lam[a][x] & 1 for a in B.mul.gens for x in xs)
 
 
 def is_ideal(B: SkewBrace, mask: ElementSet) -> bool:
@@ -128,18 +164,22 @@ def is_ideal(B: SkewBrace, mask: ElementSet) -> bool:
     return is_normal(B.add, mask) and is_normal(B.mul, mask)
 
 
-def _ideals_among(B: SkewBrace, carriers: list[ElementSet]) -> list[ElementSet]:
-    """The ideals among subbrace carriers: is_ideal without the subgroup
-    tests, which the carriers already pass."""
-    return [
-        m
-        for m in carriers
-        if is_lambda_invariant(B, m) and is_normal(B.add, m) and is_normal(B.mul, m)
-    ]
+def _ideals_among(B: SkewBrace, carriers: Lattice) -> Lattice:
+    """The ideals among the subbrace carriers of _carrier_lattice, in
+    order: is_ideal without the subgroup tests, which the carriers already
+    pass. Lambda invariance and normality in (B,+) are decided on the
+    carrier's additive generators, normality in (B,*) on its members."""
+    return {
+        m: (gens, ms)
+        for m, (gens, ms) in carriers.items()
+        if _lambda_maps_inside(B, m, gens)
+        and _conjugates_inside(B.add, m, gens)
+        and _conjugates_inside(B.mul, m, ms)
+    }
 
 
 def ideals(B: SkewBrace) -> list[ElementSet]:
-    return _ideals_among(B, subbrace_carriers(B))
+    return list(_ideals_among(B, _carrier_lattice(B)))
 
 
 def minimal_ideals(B: SkewBrace) -> list[ElementSet]:
@@ -147,13 +187,14 @@ def minimal_ideals(B: SkewBrace) -> list[ElementSet]:
 
 
 def _minimal(ideal_list: list[ElementSet]) -> list[ElementSet]:
-    """The minimal nonzero ideals among ideal_list, which is ideals(B)."""
-    nonzero = [m for m in ideal_list if size(m) > 1]
-    return [
-        m
-        for m in nonzero
-        if not any(other != m and other & ~m == 0 for other in nonzero)
-    ]
+    """The minimal nonzero ideals among ideal_list, which is ideals(B).
+    The list goes by size, so a nonzero ideal holding another holds a
+    minimal one listed before it."""
+    minimal: list[ElementSet] = []
+    for m in ideal_list:
+        if m != 1 and not any(k & ~m == 0 for k in minimal):
+            minimal.append(m)
+    return minimal
 
 
 def quotient(B: SkewBrace, ideal_mask: ElementSet) -> QuotientBrace:
@@ -238,38 +279,54 @@ def is_soluble_brace(B: SkewBrace) -> Optional[list[ElementSet]]:
     """A witness chain of ideals 0 = I_0 <= ... <= I_k = B whose successive
     quotients are abelian braces, or None.
 
-    The search takes any nonzero ideal that is an abelian brace (minimal
-    ideals first) and recurses on the quotient; solubility passes to
-    quotients, so the first such ideal decides. The first step of any
-    witness chain is such an ideal, so finding none decides as well.
+    From I = {0} on: if B/I is an abelian brace, B ends the chain;
+    otherwise the next step is the first ideal J of ideals(B) strictly
+    holding I with J/I an abelian brace, and None if there is none.
+    Solubility passes to quotients, so the first such J decides, and the
+    first nonzero ideal of any witness chain of B/I is such a J/I. That J
+    is minimal among the ideals above I: an ideal K with I < K < J is
+    smaller, so listed first, and K/I is abelian since J/I is.
     """
     return _soluble_chain(B, None)
 
 
-def _soluble_chain(
-    B: SkewBrace, ideal_list: Optional[list[ElementSet]]
-) -> Optional[list[ElementSet]]:
-    """is_soluble_brace, given ideals(B) or None; an abelian brace needs
-    no ideals, so None leaves them to be computed only when needed."""
+def _soluble_chain(B: SkewBrace, ideal_list: Optional[Lattice]) -> Optional[list[ElementSet]]:
+    """is_soluble_brace, given _ideals_among(B, _carrier_lattice(B)) or
+    None; an abelian brace needs no ideals, so None leaves them to be
+    computed only when needed.
+
+    It is the same search as on the quotient brace B/I built by
+    `quotient`, read off the ideals of B alone:
+
+    - The ideals of B/I are the J/I for the ideals J of B that hold I
+      (Guarnieri and Vendramin, Math. Comp. 86 (2017), section 2), and
+      J/I <= K/I exactly when J <= K; (B/I)/(J/I) is B/J.
+    - `quotient` numbers the cosets by their least members, in order, and
+      ideals are ordered by size, then member sequence. J and K of one
+      size that both hold I are unions of cosets of I; the least element
+      z of their symmetric difference is the least of its coset, so it is
+      a coset representative. The member lists of J and K, and their
+      representative lists, both part first at z, so B/I lists its ideals
+      in the order of B's.
+    - J/I is an abelian brace exactly when x*y = x + y and x + y = y + x
+      modulo I for all x and y in J, which _abelian_modulo decides on y
+      among the generators of J.
+    """
     if B.n == 1:
         return [1]
     full = full_mask(B.n)
     if is_trivial(B) and is_almost_trivial(B):  # an abelian brace
         return [1, full]
     if ideal_list is None:
-        ideal_list = ideals(B)
-    minimal = _minimal(ideal_list)
-    ordered = minimal + [m for m in ideal_list if size(m) > 1 and m not in minimal]
-    cand = next((m for m in ordered if is_abelian_carrier(B, m)), None)
-    if cand is None:
-        return None
-    q = quotient(B, cand)
-    rest = is_soluble_brace(q.brace)
-    if rest is None:
-        return None
-    chain = [1, cand]
-    for coset_mask in rest:
-        lifted = mask_of(x for x in range(B.n) if contains(coset_mask, q.projection[x]))
-        if lifted != cand:
-            chain.append(lifted)
-    return chain
+        ideal_list = _ideals_among(B, _carrier_lattice(B))
+    chain = [1]  # B/{0} is B, not an abelian brace
+    while True:
+        below = chain[-1]
+        for m, (gens, ms) in ideal_list.items():
+            if m != below and below & ~m == 0 and _abelian_modulo(B, below, gens, ms):
+                break
+        else:
+            return None
+        chain.append(m)
+        if _abelian_modulo(B, m, *ideal_list[full]):
+            return chain + [full]

@@ -436,6 +436,47 @@ def soluble_bruteforce(B) -> bool:
     return full == 1
 
 
+def soluble_chain_by_quotients(B):
+    """The solubility chain of is_soluble_brace, found by recursion
+    through quotient braces: an abelian brace is its own chain; otherwise
+    take the first nonzero ideal that is an abelian brace, minimal ideals
+    first and then the rest in list order, and lift the chain of the
+    quotient by it. The ideals and quotients come from the library (both
+    are checked against brute force elsewhere); the ordering and the
+    abelian tests are made here on raw tables."""
+    from sbk.substructure import ideals, quotient
+
+    n = B.n
+    at = B.add.table
+    mt = B.mul.table
+    full = (1 << n) - 1
+
+    def abelian(mask: int) -> bool:
+        ms = [x for x in range(n) if (mask >> x) & 1]
+        return all(mt[x][y] == at[x][y] == at[y][x] for x in ms for y in ms)
+
+    if n == 1:
+        return [1]
+    if abelian(full):
+        return [1, full]
+    nonzero = [m for m in ideals(B) if m != 1]
+    minimal = [m for m in nonzero if not any(o != m and o & ~m == 0 for o in nonzero)]
+    ordered = minimal + [m for m in nonzero if m not in minimal]
+    cand = next((m for m in ordered if abelian(m)), None)
+    if cand is None:
+        return None
+    q = quotient(B, cand)
+    rest = soluble_chain_by_quotients(q.brace)
+    if rest is None:
+        return None
+    chain = [1, cand]
+    for coset_mask in rest:
+        lifted = sum(1 << x for x in range(n) if (coset_mask >> q.projection[x]) & 1)
+        if lifted != cand:
+            chain.append(lifted)
+    return chain
+
+
 def isomorphisms_bruteforce(src_tables, dst_tables) -> list[tuple[int, ...]]:
     """Every bijection fixing 0 that carries each source table onto the
     destination table beside it, checked on every product, sorted."""

@@ -5,6 +5,7 @@ import pytest
 from sbk.bitset import members
 from sbk.braces import classify, from_group, make_skew_brace
 from sbk.enumeration import (
+    SUPPORTED_ORDERS,
     _brace_from_assignment,
     _orbit_representatives,
     _regular_assignments,
@@ -15,6 +16,7 @@ from sbk.enumeration import (
 )
 from sbk.errors import UnsupportedOrder
 from sbk.groups import (
+    _order_profile,
     automorphism_group,
     cyclic_group,
     dicyclic_group,
@@ -48,6 +50,13 @@ def test_groups_of_order_pairwise_non_isomorphic(n):
     for i, G in enumerate(groups):
         for H in groups[i + 1 :]:
             assert is_isomorphic(G, H) is None
+
+
+@pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+def test_groups_of_order_have_distinct_order_profiles(n):
+    # the catalog sort names a multiplicative group's type by this profile
+    profiles = [tuple(sorted(_order_profile([G.table], n))) for G in groups_of_order(n)]
+    assert len(set(profiles)) == len(profiles)
 
 
 def test_groups_of_order_cap():

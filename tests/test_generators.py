@@ -133,8 +133,9 @@ def _check_structure(B: SkewBrace, rng: random.Random, subs_of: dict) -> None:
     subs = subs_of[at]
 
     assert subgroups(B.add) == subs
-    for m, gens in _subgroup_lattice(B.add).items():
+    for m, (gens, ms) in _subgroup_lattice(B.add).items():
         assert oracles.generated_subgroup_bruteforce(at, gens) == m
+        assert ms == members(m)
     assert subbrace_carriers(B) == [m for m in subs if _closed(mt, m)]
 
     # subgroups and random subsets, empty and full among them

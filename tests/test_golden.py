@@ -36,6 +36,7 @@ ISOMORPHISM_DIGEST = "520ae921df12e099ddc00b5dbffaaf1a730dfbed8a6ddbfab4df6f292e
 ERROR_LINES_DIGEST = "fd0717f4098b0a80fc74503a2c295e2120d3af47f90e2d7254e4408d2ab7d546"
 LARGE_FILE_COMMANDS_DIGEST = "1dd47e03f62c4943f93bdc7e4257ee6153ad2dff763901e8b4b202d4f50c04cb"
 ORDER_64_ANALYZE_DIGEST = "e4d0df49089c3a35183c0fd9e81694937c8652edfcdf90ca5a22c869599b71d0"
+CATALOG_ANALYZE_DIGEST = "36e60b0c727e497575335be5af2213c2af898a28e262a8b350a0decdabac5542"
 
 FILE_COMMANDS = ("verify", "analyze", "cauchy", "ybe")
 
@@ -318,3 +319,39 @@ def test_analyze_digest_orders_48_to_64(tmp_path, capsys):
     braces = _order_64_analyze_braces()
     digest = _file_commands_digest(tmp_path, capsys, braces, ("analyze",), ["--json"])
     assert digest == ORDER_64_ANALYZE_DIGEST
+
+
+def _catalog_analyze_files(tmp_path):
+    """Each catalog brace of orders 9 to 15 as written, then a seeded
+    relabeling of it, with the identity moved off index 0 in every other
+    relabeled file."""
+    rng = random.Random(915)
+    count = 0
+    for n in range(9, 16):
+        for i, B in enumerate(all_skew_braces(n).entries):
+            obj = brace_to_obj(B)
+            labels = list(range(n))
+            rng.shuffle(labels)
+            if (labels[0] == 0) != (count % 2 == 0):
+                k = labels.index(0) if count % 2 == 0 else rng.randrange(1, n)
+                labels[0], labels[k] = labels[k], labels[0]
+            count += 1
+            moved = {
+                "order": n,
+                "add": [list(r) for r in oracles.relabel(obj["add"], labels)],
+                "mul": [list(r) for r in oracles.relabel(obj["mul"], labels)],
+            }
+            for suffix, o in (("", obj), ("_relabeled", moved)):
+                path = tmp_path / f"brace_{n:02d}_{i:03d}{suffix}.json"
+                path.write_text(canonical_dumps(o), encoding="utf-8")
+                yield path
+
+
+def test_analyze_digest_catalog_orders_9_to_15(tmp_path, capsys):
+    # the orders where solubility chains are deepest, in both output forms
+    h = hashlib.sha256()
+    for path in _catalog_analyze_files(tmp_path):
+        for flags in (["--json"], []):
+            h.update(f"{path.name} ".encode())
+            _run(h, capsys, ["analyze", str(path), *flags])
+    assert h.hexdigest() == CATALOG_ANALYZE_DIGEST

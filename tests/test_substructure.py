@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from sbk.groups import (
     subgroups,
 )
 from sbk.substructure import (
+    _carrier_lattice,
     _ideals_among,
     brace_centers,
     brace_square,
@@ -32,6 +34,8 @@ from sbk.substructure import (
 )
 
 import oracles
+from test_generators import groups_of_order_16
+from test_golden import product_braces
 
 
 def almost_trivial_s3():
@@ -327,6 +331,40 @@ def test_solubility_matches_chain_search():
             assert (is_soluble_brace(B) is not None) == oracles.soluble_bruteforce(B)
 
 
+def _chain_braces():
+    """Every catalog brace through order 15, its opposite and a seeded
+    relabeling of it; the trivial and almost trivial braces on the 14
+    groups of order 16; the products of catalog braces of orders 16 to 64
+    of the golden tests."""
+    rng = random.Random("chains")
+    for n in range(1, 16):
+        for B in all_skew_braces(n).entries:
+            sigma = [0, *rng.sample(range(1, n), n - 1)]
+            yield B
+            yield opposite(B)
+            yield make_skew_brace(
+                oracles.relabel(B.add.table, sigma), oracles.relabel(B.mul.table, sigma)
+            )
+    for G in groups_of_order_16():
+        yield from_group(G, "trivial")
+        yield from_group(G, "almost_trivial")
+    for _, B in product_braces():
+        yield B
+
+
+def test_minimal_ideals_match_their_definition():
+    for B in _chain_braces():
+        ids = ideals(B)
+        nonzero = [m for m in ids if m != 1]
+        expected = [m for m in nonzero if not any(o != m and o & ~m == 0 for o in nonzero)]
+        assert minimal_ideals(B) == expected
+
+
+def test_soluble_chain_matches_the_chain_by_quotients():
+    for B in _chain_braces():
+        assert is_soluble_brace(B) == oracles.soluble_chain_by_quotients(B)
+
+
 def test_minimal_ideals_of_soluble_braces_are_elementary_abelian():
     from sbk.groups import element_order, prime_divisors
 
@@ -415,8 +453,9 @@ def test_ideal_filter_on_carriers_matches_is_ideal():
     braces = [B for n in range(1, 13) for B in all_skew_braces(n).entries]
     braces.append(from_group(c2_5, "trivial"))
     for B in braces:
-        carriers = subbrace_carriers(B)
-        assert _ideals_among(B, carriers) == [m for m in carriers if is_ideal(B, m)]
+        carriers = _carrier_lattice(B)
+        assert list(carriers) == subbrace_carriers(B)
+        assert list(_ideals_among(B, carriers)) == [m for m in carriers if is_ideal(B, m)]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
