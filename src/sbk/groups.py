@@ -16,6 +16,9 @@ So a table with identity e is associative as soon as every k in a set S
 is in N, provided the closure of {e} under right products by S is the
 whole table. _spanning picks such an S, of at most log2(n) elements for a
 group, and make_group scans k over S: O(n^2 |S|) work in place of n^3.
+The scan runs on the table flattened to one byte string, which the order
+cap keeps possible: for each i and each k in S, both sides over every j
+are one bytes.translate each.
 The same argument decides normality: the g with gHg^-1 in H are closed
 under products, so is_normal tests only the group's generators. So does
 center: the centralizer of g is a subgroup, so g is central once it
@@ -249,21 +252,26 @@ def _associativity_failure(
     """The first triple (i, j, k) with k in ks and (ij)k != i(jk), in the
     order of i, then j, then k; None when there is none.
 
-    Each side is one itemgetter call over a row or a column. At order 1
-    an itemgetter returns a scalar, not a 1-tuple, but the only table is
-    ((0,),), on which both sides are 0 and no mismatch is indexed.
+    The table is flattened once into a byte string, row i read as a slice
+    of it and column k as every n-th byte from k. Each side is then one
+    bytes.translate over all j: (ij)k is row i looked up in column k, and
+    i(jk) is column k looked up in row i, each lookup table padded with
+    zeros to the 256 bytes translate takes. So n must be at most 256, and
+    it is: the function is called from make_group alone, directly or
+    through _raise_first_violation, after make_group has raised
+    GroupTooLarge for n over MAX_GROUP_ORDER = 64.
     """
     n = len(rows)
-    cols = list(zip(*rows))
-    # at_col(r) = (r[col_k[j]] for every j), one getter per k
-    steps = [(k, cols[k], itemgetter(*cols[k])) for k in ks]
+    flat = b"".join(map(bytes, rows))
+    pad = bytes(256 - n)
+    steps = [(k, col, col + pad) for k in ks for col in (flat[k::n],)]
     for i in range(n):
-        row_i = rows[i]
-        at_row = itemgetter(*row_i)
+        row = flat[i * n : i * n + n]
+        at_row = row + pad
         first = None
-        for k, col_k, at_col in steps:
-            left = at_row(col_k)  # (ij)k for every j
-            right = at_col(row_i)  # i(jk) for every j
+        for k, col, at_col in steps:
+            left = row.translate(at_col)  # (ij)k for every j
+            right = col.translate(at_row)  # i(jk) for every j
             if left != right:
                 j = next(j for j in range(n) if left[j] != right[j])
                 if first is None or (j, k) < first:

@@ -12,13 +12,13 @@ canonical_dumps writes that form itself, byte for byte what
 json.dumps(obj, sort_keys=True, indent=2) writes: with indent set, the
 json module drops its C encoder for a pure-Python one, which was the
 largest single cost of writing a brace or a Yang-Baxter map. Nearly all
-of every output is ints, written in two shapes. A list of plain ints is
-joined with str. A list of non-empty rows of plain ints, all of one
-length, is written by one %d format string built for that shape, filled
-from the flattened rows in one call: a brace file's table, or one row of
-a Yang-Baxter map, whose entries are [u, v] pairs. Plain means of type
-int exactly, so a bool, which prints as true, never meets %d. Keys,
-every other scalar, ragged rows and empty rows keep the general path,
+of every output is blocks of ints: a list of plain ints, or a list of
+non-empty rows, all of one length, that are blocks in turn. A block is
+written by one %d format string built for its shape, filled from its
+flattened ints in one call: a brace file's table, or a whole Yang-Baxter
+map, whose entries are [u, v] pairs. Plain means of type int exactly,
+so a bool, which prints as true, never meets %d. Keys, every other
+scalar, ragged rows and empty rows keep the general path,
 and scalars still go through json.dumps.
 """
 
@@ -54,15 +54,11 @@ def _dumps(obj: Any, nl: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        block = _int_block(obj, nl)
+        if block is not None:
+            return block
         inner = nl + "  "
-        types = set(map(type, obj))
-        if types == _INT:  # not bool, which prints as true
-            items = map(str, obj)
-        else:
-            table = _table(obj, inner) if types <= _ROW else None
-            if table is not None:
-                return "[" + inner + table + nl + "]"
-            items = [_dumps(x, inner) for x in obj]
+        items = [_dumps(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -73,21 +69,29 @@ def _dumps(obj: Any, nl: str) -> str:
     return json.dumps(obj)
 
 
-def _table(rows: Any, inner: str) -> Optional[str]:
-    """The rows between the brackets of their list, one per line at the
-    indent of inner, when they are non-empty rows of plain ints, all of one
-    length; None otherwise. One %d format string, built for the shape, is
-    filled from the flattened rows."""
-    width = len(rows[0])
-    # the first cell turns away a map's list of rows of pairs unflattened
-    if not width or type(rows[0][0]) is not int or set(map(len, rows)) != {width}:
-        return None
-    cells = tuple(chain.from_iterable(rows))
-    if set(map(type, cells)) != _INT:
-        return None
-    cell = inner + "  "
-    row = "[" + cell + ("," + cell).join(["%d"] * width) + inner + "]"
-    return ("," + inner).join([row] * len(rows)) % cells
+def _int_block(obj: Any, nl: str) -> Optional[str]:
+    """obj as _dumps writes it when it is a block of plain ints: a list of
+    plain ints, or of rows of one non-zero length that are blocks in turn;
+    None otherwise. One %d format string, built for the shape, is filled
+    from the flattened ints."""
+    widths = [len(obj)]
+    cells = obj
+    while True:
+        types = set(map(type, cells))
+        if types == _INT:  # not bool, which prints as true
+            break
+        if not types <= _ROW:
+            return None
+        width = len(cells[0])
+        if not width or set(map(len, cells)) != {width}:
+            return None
+        widths.append(width)
+        cells = tuple(chain.from_iterable(cells))
+    block = "%d"
+    for depth in reversed(range(len(widths))):
+        inner = nl + "  " * (depth + 1)
+        block = "[" + inner + ("," + inner).join([block] * widths[depth]) + inner[:-2] + "]"
+    return block % tuple(cells)
 
 
 def _require_field(obj: Any, key: str, n: int) -> list:

@@ -124,7 +124,7 @@ def associativity_failure_by_lists(rows, ks):
     """The first triple (i, j, k) with k in ks and (ij)k != i(jk), in the
     order of i, then j, then k; None when there is none. The list
     comprehension loop groups._associativity_failure was written from,
-    kept as the reference for its itemgetter form."""
+    kept as the reference for its byte-string form."""
     n = len(rows)
     cols = list(zip(*rows))
     for i in range(n):

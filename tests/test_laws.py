@@ -12,11 +12,14 @@ must raise the failure tests/oracles.py finds first. Group tables (the
 brace's own, the same relabeled, relabeled tables of other catalog braces
 of the same order, and the corruptions that stay groups) go through
 assemble, is_two_sided and swap, whose verdicts must agree with the full
-scan and whose errors must name the first triple it finds. On every table the two law kernels, which compose
-rows with operator.itemgetter, must also name the same first triple as
-the list comprehension loops they replaced, kept in tests/oracles.py; at
-orders 1 and 2 they are checked on every table, where an itemgetter of
-one index returns a scalar.
+scan and whose errors must name the first triple it finds. On every
+table the two law kernels, the associativity scan on byte strings and the
+compatibility scan with operator.itemgetter, must also name the same first
+triple as the list comprehension loops they replaced, kept in
+tests/oracles.py; at orders 1 and 2 they are checked on every table, where
+an itemgetter of one index returns a scalar. Order-64 tables whose only
+failure sits at index 63 check that neither kernel stops short of the
+last row, column or generator.
 """
 
 import itertools
@@ -159,6 +162,75 @@ def test_law_kernels_match_the_list_loops_on_every_table(n):
                 failures += law_expected is not None
             failures += expected is not None
     assert (failures > 0) == (n > 1)
+
+
+def _null_table(n: int, cells: dict[tuple[int, int], int]) -> list[list[int]]:
+    """The n x n table with every product 0 but the given cells."""
+    table = [[0] * n for _ in range(n)]
+    for (x, y), z in cells.items():
+        table[x][y] = z
+    return table
+
+
+@pytest.mark.parametrize("triple", [(63, 1, 2), (1, 63, 2), (1, 2, 63)])
+def test_associativity_kernel_reaches_index_63(triple):
+    """In the null table with ij = c and ck = e, for distinct nonzero i,
+    j, k, c and e, (ij)k = e while jk = 0 and i0 = 0; every other triple
+    has both sides 0. So (i, j, k) is the only failure, and a kernel that
+    skips the last row, column or k misses it."""
+    n = 64
+    i, j, k = triple
+    c, e = [x for x in range(1, n) if x not in triple][:2]
+    table = _null_table(n, {(i, j): c, (c, k): e})
+    assert oracles.first_nonassociative(table) == triple
+    for ks in (range(n), range(n - 1, 0, -1), [k]):
+        assert _associativity_failure(table, ks) == triple
+    assert _associativity_failure(table, [x for x in range(n) if x != k]) is None
+
+
+def test_law_kernel_reaches_c_63():
+    """Over the cyclic group of order 64, row 1 of the table is 1 + f(x)
+    with f(x) = x mod 2, and every other row a is a + x. f(b + c) = f(b) +
+    f(c) fails exactly when b and c are odd, so with c over the evens and
+    63 the only failures are (1, b, 63) for odd b, and a kernel that skips
+    the last c finds none."""
+    n = 64
+    add = cyclic_group(n)
+    table = [[(a + x) % n for x in range(n)] for a in range(n)]
+    table[1] = [1 + x % 2 for x in range(n)]
+    cs = [*range(0, n, 2), n - 1]
+    assert oracles.law_failure_by_lists(add.table, table, range(n), cs) == (1, 1, 63)
+    assert _law_failure(add, table, range(n), cs) == (1, 1, 63)
+    assert _law_failure(add, table, range(n), cs[:-1]) is None
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_law_never_fails_at_one_b_alone(n):
+    """For each a and c the b with a*(b+c) != a*b - a + a*c are never
+    exactly one. So the least failing b is never n - 1, and a kernel that
+    skipped b = n - 1 would name the same first triple on every table: no
+    table can tell it apart.
+
+    With f(x) = -a + a*x the law at (a, b, c) reads f(b + c) = f(b) + f(c).
+    Along the cycle b, b + c, b + 2c, ... of length m, the order of c, if
+    the law held at every b but one, chaining the equations round the
+    cycle gives the failing one's defect as -m f(c), nonzero, and every
+    other cycle then fails somewhere too; one failure in all means one
+    cycle, c of order n, and m f(c) = 0, a contradiction. As row a ranges
+    over every row, f ranges over every map, so f is checked here as a
+    map: every map over every group of order up to 5, and seeded maps at
+    order 6."""
+    rng = random.Random(f"one-b:{n}")
+    for G in groups_of_order(n):
+        t = G.table
+        if n <= 5:
+            maps = itertools.product(range(n), repeat=n)
+        else:
+            maps = [[rng.randrange(n) for _ in range(n)] for _ in range(2000)]
+        for f in maps:
+            for c in range(n):
+                bad = sum(f[t[b][c]] != t[f[b]][f[c]] for b in range(n))
+                assert bad != 1
 
 
 def _make_group_verdict(table) -> str:
