@@ -32,13 +32,14 @@ group once it holds T: the law is decided on the pairs (a, c) in T x S,
 for every b, in O(n |T| |S|) work in place of n^3.
 
 One loop, _law_violation, decides the law for every caller: assemble
-(and so make_skew_brace) raises on its first bad triple, swap asks it of
-(mul, add), which is the bi-skew property (Childs, New York J. Math. 25
-(2019)), and is_two_sided asks it of the transposed multiplication,
-which is the mirrored law (Koch and Truman, J. Algebra 546 (2020)).
-Each passes a group as the table playing *: assemble a validated group,
-swap the additive group, and is_two_sided the opposite multiplicative
-group, which the same mul.gens generate.
+(and so make_skew_brace) raises on its first bad triple, _is_bi_skew asks
+it of (mul, add), which is the bi-skew property (Childs, New York J.
+Math. 25 (2019)) that both swap and classify read, and is_two_sided asks
+it of the transposed multiplication, which is the mirrored law (Koch and
+Truman, J. Algebra 546 (2020)). Each passes a group as the table playing
+*: assemble a validated group, _is_bi_skew the additive group, and
+is_two_sided the opposite multiplicative group, which the same mul.gens
+generate.
 Only tables from outside and swap are checked: opposite braces,
 quotients by ideals, from_group braces and catalog entries are skew
 braces by theorem, each cited where it is built, so _brace builds them
@@ -247,9 +248,16 @@ def opposite(B: SkewBrace) -> SkewBrace:
 def swap(B: SkewBrace) -> Optional[SkewBrace]:
     """The structure with the two operations exchanged, when it is again a
     skew brace; None otherwise. Success is exactly the bi-skew property."""
-    if _law_violation(B.mul, B.add.table, B.add.gens) is not None:
+    if not _is_bi_skew(B):
         return None
     return _brace(B.mul, B.add)
+
+
+def _is_bi_skew(B: SkewBrace) -> bool:
+    """Whether the law holds with the operations exchanged: (B,*) as the
+    additive group, + as the multiplication. Both are groups with identity
+    0, so this alone makes the swapped structure a skew brace."""
+    return _law_violation(B.mul, B.add.table, B.add.gens) is None
 
 
 def is_trivial(B: SkewBrace) -> bool:
@@ -277,7 +285,7 @@ def classify(B: SkewBrace) -> BraceFlags:
         almost_trivial=almost,
         abelian=trivial and almost,
         two_sided=is_two_sided(B),
-        bi_skew=swap(B) is not None,
+        bi_skew=_is_bi_skew(B),
     )
 
 

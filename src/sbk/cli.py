@@ -10,9 +10,13 @@ independent per-order jobs and results are re-sorted before printing. The
 process pool is imported only when one is started, so a command that
 reads one file never loads multiprocessing.
 
-Each command is declared once, in COMMANDS. main builds the parser of the
-invoked command only; no arguments, a leading flag or an unknown command
-get the parser of every command, so help and usage errors read the same.
+Each command is declared once, in COMMANDS. When the first argument names
+a command, main builds one parser, "sbk <cmd>" with that command's
+arguments, and reads the rest of the line with it; no arguments, a
+leading flag or an unknown command get the parser of every command, so
+help and usage errors list them all. Either way a line reads the same
+(_parse gives the proof). No parser is built at import or kept between
+calls.
 """
 
 from __future__ import annotations
@@ -25,17 +29,17 @@ from typing import Any, Callable, NamedTuple, NoReturn, Optional
 
 from . import serialize
 from .bitset import members
-from .braces import BraceFlags, classify, opposite
+from .braces import BraceFlags, classify
 from .cauchy import cauchy_report, survey_order
 from .enumeration import SUPPORTED_ORDERS, all_skew_braces
 from .errors import BadInput, SkewBraceKitError, UnsupportedOrder
-from .groups import prime_divisors
+from .groups import center, prime_divisors
 from .substructure import (
     _carrier_lattice,
     _ideals_among,
     _minimal,
+    _opposite_square,
     _soluble_chain,
-    brace_centers,
     brace_square,
     ker_lambda,
 )
@@ -79,28 +83,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _analysis_obj(B) -> dict[str, Any]:
-    # one lattice per brace: the ideals, minimal ideals, simplicity and the
-    # solubility chain are all read from the same carriers
-    flags = classify(B)
-    centers = brace_centers(B)
+    # one lattice per brace: the ideals, minimal ideals, simplicity, the
+    # solubility chain and whether Z(B,*) is an ideal are all read from
+    # the same carriers; every ideal is among them
     carriers = _carrier_lattice(B)
     ideal_lattice = _ideals_among(B, carriers)
     ideal_list = list(ideal_lattice)
     chain = _soluble_chain(B, ideal_lattice)
-    bopp = opposite(B)
+    z_mul = center(B.mul)
     return {
         "order": B.n,
-        "flags": flags.as_dict(),
+        "flags": classify(B).as_dict(),
         "subbraces": list(carriers),
         "ideals": ideal_list,
         "minimal_ideals": _minimal(ideal_list),
         "centers": {
-            "add": centers.z_add,
-            "mul": centers.z_mul,
-            "mul_is_ideal": centers.z_mul_is_ideal,
+            "add": center(B.add),
+            "mul": z_mul,
+            "mul_is_ideal": z_mul in ideal_lattice,
         },
         "square": brace_square(B),
-        "opposite_square": brace_square(bopp),
+        "opposite_square": _opposite_square(B),
         "ker_lambda": ker_lambda(B),
         "simple": len(ideal_list) == 2,
         "soluble": chain is not None,
@@ -377,31 +380,56 @@ COMMANDS: dict[str, _Command] = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of only the one named. Either reads
-    a call of that command the same way."""
+def _add_arguments(parser: argparse.ArgumentParser, spec: _Command) -> None:
+    for flags, keywords in spec.arguments:
+        default = keywords.get("default")
+        if callable(default):
+            keywords = {**keywords, "default": default()}
+        parser.add_argument(*flags, **keywords)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command: one subparser per command, named
+    "sbk <cmd>"."""
     parser = _Parser(prog="sbk", description="Finite skew brace toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS if command is None else (command,):
-        spec = COMMANDS[name]
-        p = sub.add_parser(name, help=spec.help)
-        for flags, keywords in spec.arguments:
-            default = keywords.get("default")
-            if callable(default):
-                keywords = {**keywords, "default": default()}
-            p.add_argument(*flags, **keywords)
+    for name, spec in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=spec.help), spec)
     return parser
+
+
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The command argv names and its parsed arguments.
+
+    When argv[0] names a command, only that command's parser is built,
+    and argv[1:] is read as build_parser() reads the whole line. There
+    the subparsers action is the top parser's one positional, and argv[0]
+    is a positional, so the action's nargs, 'A...', takes argv[0] and
+    every argument after it, flags too. The action hands argv[1:] to the
+    command's subparser, also a _Parser named "sbk <cmd>" with the same
+    arguments, through parse_known_args: help, usage errors and the
+    parsed values come from a parser like the one built here. What that
+    call leaves over, the top parser's parse_args rejects as
+    "unrecognized arguments" under its own name, "sbk"; so is it here.
+    """
+    if argv and argv[0] in COMMANDS:
+        command = argv[0]
+        parser = _Parser(prog=f"sbk {command}")
+        _add_arguments(parser, COMMANDS[command])
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:
+            raise BadInput(f"sbk: unrecognized arguments: {' '.join(extras)}")
+        return command, args
+    args = build_parser().parse_args(argv)
+    return args.command, args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a first word that names no command (none, a flag, a typo) gets every
-    # command's parser, so help and usage errors list them all
-    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
-        return COMMANDS[args.command].handler(args)
+        command, args = _parse(argv)
+        return COMMANDS[command].handler(args)
     except SkewBraceKitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID

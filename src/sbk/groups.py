@@ -148,6 +148,11 @@ def make_group(
     violation; a table passing all of them is a group. A caller that has
     already passed the table through _square_rows and found its identity
     with find_identity gives that identity, and neither is done again.
+
+    Light's test runs on the table already relabeled, with the greedy
+    span that is then the group's gens, so _spanning runs once per table.
+    A table that fails is scanned as given, so every error names the
+    cells, elements and triples of the caller's labels.
     """
     rows = table
     if identity is None:
@@ -162,18 +167,19 @@ def make_group(
         raise NoIdentity()
     if not all(identity in row for row in rows):
         _raise_first_violation(rows)
-    span = _spanning(rows, identity)
-    if _associativity_failure(rows, span) is not None:
-        _raise_first_violation(rows)
-
-    if identity == 0:
-        # the table is kept as it is, so the span is its gens
-        return _group(rows, name, gens=span)
-    # relabel by the transposition (0 identity)
-    sigma = list(range(n))
-    sigma[0], sigma[identity] = identity, 0
-    moved = [rows[s] for s in sigma]
-    return _group([tuple([sigma[row[t]] for t in sigma]) for row in moved], name)
+    relabeled = rows
+    if identity:
+        # relabel by the transposition (0 identity); a relabeled table is
+        # associative exactly when the table is
+        sigma = list(range(n))
+        sigma[0], sigma[identity] = identity, 0
+        moved = [rows[s] for s in sigma]
+        relabeled = [tuple([sigma[row[t]] for t in sigma]) for row in moved]
+    # the greedy span of the table the group keeps is its gens
+    span = _spanning(relabeled)
+    if _associativity_failure(relabeled, span) is not None:
+        _raise_first_violation(rows)  # in the labels as given
+    return _group(relabeled, name, gens=span)
 
 
 def _square_rows(table: Sequence[Sequence[int]], key: str) -> list[tuple[int, ...]]:
@@ -365,8 +371,13 @@ def _subgroup_lattice(G: FiniteGroup) -> Lattice:
     each known subgroup H with elements outside it until no new subgroup
     appears. Every subgroup is a join of cyclic ones, so this is complete.
     Since <H, x> = <H, hx> for h in H, one x per right coset Hx is joined:
-    x is walked upward, and an x in a coset already met is skipped. Each
-    subgroup keeps the generators it was found with (its parent's plus x).
+    x is walked upward, and an x in a coset already met is skipped. As
+    <H, x> depends only on H and <x>, an x in a new coset is skipped too
+    when an earlier x' has <x'> = <x>: H is joined once per cyclic
+    subgroup. Either skip leaves out only a join already made, which
+    already holds the generators it was first found with, so the lattice
+    and every generator list are those of joining every x. Each subgroup
+    keeps the generators it was found with (its parent's plus x).
     A join with an x whose cyclic subgroup holds H is that cyclic subgroup.
     Any other join J = <H, x> is grown a right coset at a time: the union
     U of the cosets Hc reached from H by right products c -> cg, g a
@@ -395,13 +406,17 @@ def _subgroup_lattice(G: FiniteGroup) -> Lattice:
                 continue  # every join with the trivial subgroup is cyclic
             coset = itemgetter(*hs)
             covered = sub
+            joined = set()
             for x in range(n):
                 if covered >> x & 1:
                     continue
                 covered |= sum(coset(bits[x]))
+                cyc = cyclic[x]
+                if cyc in joined:
+                    continue
+                joined.add(cyc)
                 gens = sub_gens + [x]
                 # <H, x> is <x> when H lies in <x>
-                cyc = cyclic[x]
                 if sub & ~cyc == 0:
                     join = cyc
                 else:

@@ -257,6 +257,30 @@ def brace_square(B: SkewBrace) -> ElementSet:
     return normal_closure(B.add, (star(B, a, g) for a in B.mul.gens for g in B.add.gens))
 
 
+def _opposite_square(B: SkewBrace) -> ElementSet:
+    """brace_square(opposite(B)), with no opposite brace built.
+
+    The opposite brace has a +' b = b + a and the same *, so -'a = -a,
+    its lambda maps are lambda'_a(b) = -'a +' a*b = a*b - a, and its star
+    products are
+
+        star'(a, g) = lambda'_a(g) -' g = -g + a*g - a.
+
+    Its square is the normal closure in (B,+') of the star'(a, g) for a in
+    B.mul.gens and g in generators of (B,+'), by brace_square's proof.
+    (B,+) and (B,+') have the same subgroups, a subgroup being closed
+    under both sums at once, and the same normal subgroups, conjugation by
+    g in (B,+') being conjugation by -g in (B,+). So B.add.gens generate
+    (B,+'), and the normal closure may be taken in (B,+).
+    """
+    at = B.add.table
+    inv = B.add.inv
+    mt = B.mul.table
+    return normal_closure(
+        B.add, (at[at[inv[g]][mt[a][g]]][inv[a]] for a in B.mul.gens for g in B.add.gens)
+    )
+
+
 def ker_lambda(B: SkewBrace) -> ElementSet:
     identity = tuple(range(B.n))
     return mask_of(a for a in range(B.n) if B.lam[a] == identity)

@@ -8,7 +8,9 @@ from raw tables or tests/oracles.py, on a seeded relabeling of every
 catalog brace through order 15 and of its opposite, and of the trivial and
 almost trivial braces on the 14 groups of order 16. The law is checked on
 every (add, mul) pair of group tables of the catalog braces of one order,
-through order 8.
+through order 8. What analyze reads without building the opposite or the
+swapped brace, or testing the centre as an ideal, is checked against
+what it reads off those.
 """
 
 import random
@@ -16,7 +18,16 @@ import random
 import pytest
 
 from sbk.bitset import full_mask, members, sort_key
-from sbk.braces import SkewBrace, assemble, from_group, make_skew_brace, opposite
+from sbk.braces import (
+    SkewBrace,
+    assemble,
+    classify,
+    from_group,
+    make_skew_brace,
+    opposite,
+    swap,
+)
+from sbk.cli import _analysis_obj
 from sbk.enumeration import all_skew_braces
 from sbk.errors import LeftDistributivityFails
 from sbk.groups import (
@@ -32,8 +43,10 @@ from sbk.groups import (
     subgroups,
 )
 from sbk.substructure import (
+    _opposite_square,
     brace_square,
     is_abelian_carrier,
+    is_ideal,
     is_lambda_invariant,
     is_trivial_carrier,
     star_span,
@@ -41,6 +54,7 @@ from sbk.substructure import (
 )
 
 import oracles
+from test_golden import product_braces
 
 
 def _semidirect(N: FiniteGroup, phi: list[int], k: int) -> FiniteGroup:
@@ -194,3 +208,37 @@ def test_law_on_every_pair_of_catalog_group_tables(n):
     assert braces >= len(entries)
     # every group table of order 3 or less with identity 0 is the same
     assert (rejected > 0) == (n > 3)
+
+
+def _analysis_braces():
+    """Every catalog brace through order 15, its opposite and a seeded
+    relabeling of it that moves 0, and the nine products of orders 16 to
+    64 of test_golden.PRODUCT_PAIRS."""
+    rng = random.Random("analysis")
+    for n in range(1, 16):
+        for B in all_skew_braces(n).entries:
+            sigma = rng.sample(range(n), n)
+            yield B
+            yield opposite(B)
+            yield make_skew_brace(
+                oracles.relabel(B.add.table, sigma), oracles.relabel(B.mul.table, sigma)
+            )
+    for _, B in product_braces():
+        yield B
+
+
+def test_analyze_reads_what_the_built_braces_give():
+    subs_of: dict = {}
+    for B in _analysis_braces():
+        assert _opposite_square(B) == brace_square(opposite(B))
+        obj = _analysis_obj(B)
+        assert obj["centers"]["mul_is_ideal"] == is_ideal(B, center(B.mul))
+        assert obj["opposite_square"] == brace_square(opposite(B))
+        assert classify(B).bi_skew == (swap(B) is not None)
+        if B.n > 16:
+            continue  # the oracle tries every subset of a size dividing n
+        for G in (B.add, B.mul):
+            if G.table not in subs_of:
+                brute = oracles.subgroups_bruteforce(G.table, list(G.inv))
+                subs_of[G.table] = sorted(brute, key=sort_key)
+            assert subgroups(G) == subs_of[G.table]

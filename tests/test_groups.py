@@ -3,7 +3,9 @@ from itertools import product
 
 import pytest
 
+from sbk import groups
 from sbk.bitset import full_mask, mask_of, members, size
+from sbk.enumeration import all_skew_braces
 from sbk.errors import (
     BadInput,
     GroupTooLarge,
@@ -534,6 +536,31 @@ def test_is_isomorphic_z6_z2xz3():
 def test_is_isomorphic_reflexive_identity():
     G = dihedral_group(8)
     assert is_isomorphic(G, G) == tuple(range(8))
+
+
+def test_a_load_spans_each_table_once(tmp_path, monkeypatch):
+    # with the identity off 0, Light's test runs on the relabeled table
+    # with the span that becomes the group's gens
+    B = all_skew_braces(8).entries[13]
+    sigma = [3, 5, 0, 7, 1, 6, 2, 4]
+    obj = {
+        "order": 8,
+        "add": [list(r) for r in oracles.relabel(B.add.table, sigma)],
+        "mul": [list(r) for r in oracles.relabel(B.mul.table, sigma)],
+    }
+    path = tmp_path / "moved.json"
+    path.write_text(canonical_dumps(obj), encoding="utf-8")
+    spans = []
+
+    def counting(*args, **kwargs):
+        spans.append(args[0])
+        return _spanning(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "_spanning", counting)
+    loaded = load_brace(str(path))
+    tables = [loaded.add.table, loaded.mul.table]
+    assert [loaded.add.gens, loaded.mul.gens] == [_spanning(t) for t in tables]
+    assert [tuple(t) for t in spans] == tables
 
 
 def test_loaded_groups_keep_the_span_of_their_table(tmp_path):
