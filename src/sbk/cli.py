@@ -11,21 +11,24 @@ process pool is imported only when one is started, so a command that
 reads one file never loads multiprocessing.
 
 Each command is declared once, in COMMANDS. When the first argument names
-a command, main builds one parser, "sbk <cmd>" with that command's
-arguments, and reads the rest of the line with it; no arguments, a
-leading flag or an unknown command get the parser of every command, so
-help and usage errors list them all. Either way a line reads the same
-(_parse gives the proof). No parser is built at import or kept between
+a command and the rest of the line is plain (_read says what that is),
+main reads it from COMMANDS alone, builds no parser and never imports
+argparse. Any other line goes to argparse: a line that names a command
+gets one parser, "sbk <cmd>" with that command's arguments; no
+arguments, a leading flag or an unknown command get the parser of every
+command, so help and usage errors list them all. Every path reads a
+line the same (_read and _parse give the proof), so argparse writes
+every help text and error. No parser is built at import or kept between
 calls.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from functools import partial
-from typing import Any, Callable, NamedTuple, NoReturn, Optional
+from functools import cache, partial
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, NoReturn, Optional
 
 from . import serialize
 from .bitset import members
@@ -45,6 +48,9 @@ from .substructure import (
 )
 from .ybe import to_solution
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_HARNESS_VIOLATION = 2
@@ -52,15 +58,6 @@ EXIT_HARNESS_VIOLATION = 2
 
 def _default_workers() -> int:
     return max(1, os.cpu_count() or 1)
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises BadInput on a usage error, so it ends in one error line and
-    exit 1 like any bad input: argparse's own exit 2 is the harness
-    violation code. Subparsers are built from the same class."""
-
-    def error(self, message: str) -> NoReturn:
-        raise BadInput(f"{self.prog}: {message}")
 
 
 def _print(text: str) -> None:
@@ -71,7 +68,7 @@ def _flags_lines(flags: dict[str, bool]) -> list[str]:
     return [f"  {k}: {'yes' if v else 'no'}" for k, v in flags.items()]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     B = serialize.load_brace(args.path)
     flags = classify(B).as_dict()
     if args.json:
@@ -111,7 +108,7 @@ def _analysis_obj(B) -> dict[str, Any]:
     }
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: SimpleNamespace) -> int:
     B = serialize.load_brace(args.path)
     obj = _analysis_obj(B)
     if args.json:
@@ -142,7 +139,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_cauchy(args: argparse.Namespace) -> int:
+def cmd_cauchy(args: SimpleNamespace) -> int:
     B = serialize.load_brace(args.path)
     report = cauchy_report(B)
     if args.json:
@@ -194,7 +191,7 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: SimpleNamespace) -> int:
     catalog = all_skew_braces(args.order)
     selected = []
     census = dict.fromkeys(BraceFlags._fields, 0)
@@ -251,7 +248,7 @@ def _run_per_order(n_max: int, workers: int, job) -> list[Any]:
         return [job(n) for n in orders]
 
 
-def cmd_survey(args: argparse.Namespace) -> int:
+def cmd_survey(args: SimpleNamespace) -> int:
     per_order = _run_per_order(args.n_max, args.workers, _survey_order)
     rows = [row for chunk in per_order for row in chunk]
     if args.json:
@@ -273,7 +270,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_ybe(args: argparse.Namespace) -> int:
+def cmd_ybe(args: SimpleNamespace) -> int:
     B = serialize.load_brace(args.path)
     r = to_solution(B)
     if args.json:
@@ -299,7 +296,7 @@ def _harness_order(n: int, two_sided: bool, bi_skew: bool) -> dict[str, Any]:
     return {"order": n, "checked": checked, "failures": failures}
 
 
-def cmd_harness(args: argparse.Namespace) -> int:
+def cmd_harness(args: SimpleNamespace) -> int:
     two_sided = args.two_sided or not (args.two_sided or args.bi_skew)
     bi_skew = args.bi_skew or not (args.two_sided or args.bi_skew)
     job = partial(_harness_order, two_sided=two_sided, bi_skew=bi_skew)
@@ -342,11 +339,12 @@ _WORKERS: _Argument = (("--workers",), {"type": int, "default": _default_workers
 class _Command(NamedTuple):
     help: str
     arguments: tuple[_Argument, ...]  # add_argument's (flags, keywords), in order
-    handler: Callable[[argparse.Namespace], int]
+    handler: Callable[[SimpleNamespace], int]
 
 
-# Every command once. A default that is a function is called when the
-# parser is built, so --workers follows the CPU count of each call.
+# Every command once. A default that is a function is called on each
+# call, by _read or when a parser is built, so --workers follows the CPU
+# count of each call.
 COMMANDS: dict[str, _Command] = {
     "verify": _Command(
         "Validate a brace file and print its flags.", (_PATH, _JSON), cmd_verify
@@ -380,6 +378,89 @@ COMMANDS: dict[str, _Command] = {
 }
 
 
+# the add_argument keywords _read knows
+_READ_KEYWORDS = frozenset({"action", "default", "dest", "type"})
+
+
+def _read(spec: _Command, rest: list[str]) -> Optional[SimpleNamespace]:
+    """rest read from spec alone if it is plain, else None.
+
+    In a plain line every token is an exact option name of the command,
+    the value after an option that takes one, or a positional; values
+    and positionals do not start with '-'. It has exactly the command's
+    positionals, and every type conversion succeeds. argparse reads each
+    token of such a line alike: no token is '--', '-h', an abbreviation,
+    an '=' form or a dash-leading value, so none is split, matched by
+    prefix or read as a negative number. So the values here are those of
+    the one-command parser, and the defaults fill in the rest; a default
+    that is a function is called on each call, as when a parser is built.
+    A command with an argument of any other shape, such as two names or
+    an nargs, is left to argparse whatever its line.
+    """
+    values: dict[str, Any] = {}
+    options: dict[str, tuple[str, Optional[Callable[[str], Any]]]] = {}  # no type: a flag
+    positionals = []
+    for flags, keywords in spec.arguments:
+        if (
+            len(flags) > 1
+            or keywords.keys() - _READ_KEYWORDS
+            or keywords.get("action") not in (None, "store_true")
+        ):
+            return None
+        name = flags[0]
+        convert = keywords.get("type", str)
+        if name[0] != "-":
+            positionals.append((name, convert))
+            continue
+        dest = keywords.get("dest", name.lstrip("-").replace("-", "_"))
+        flag = keywords.get("action") == "store_true"
+        options[name] = dest, None if flag else convert
+        default = keywords.get("default", False if flag else None)
+        values[dest] = default() if callable(default) else default
+    given = []  # (dest, type, token) of every value, in line order
+    positional_tokens = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token[:1] != "-":
+            positional_tokens.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, convert = options[token]
+        if convert is None:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        given.append((dest, convert, value))
+    if len(positional_tokens) != len(positionals):
+        return None
+    given += ((name, convert, token) for (name, convert), token in zip(positionals, positional_tokens))
+    try:
+        for dest, convert, token in given:
+            values[dest] = convert(token)
+    except (TypeError, ValueError):
+        return None
+    return SimpleNamespace(**values)
+
+
+@cache
+def _parser_class() -> type[argparse.ArgumentParser]:
+    """The parser class of every parser built here, made on the first
+    call, so that argparse is imported only for a line _read does not
+    take. It raises BadInput on a usage error, so that ends in one error
+    line and exit 1 like any bad input: argparse's own exit 2 is the
+    harness violation code. Subparsers are built from the same class."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            raise BadInput(f"{self.prog}: {message}")
+
+    return _Parser
+
+
 def _add_arguments(parser: argparse.ArgumentParser, spec: _Command) -> None:
     for flags, keywords in spec.arguments:
         default = keywords.get("default")
@@ -391,37 +472,42 @@ def _add_arguments(parser: argparse.ArgumentParser, spec: _Command) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command: one subparser per command, named
     "sbk <cmd>"."""
-    parser = _Parser(prog="sbk", description="Finite skew brace toolkit.")
+    parser = _parser_class()(prog="sbk", description="Finite skew brace toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in COMMANDS.items():
         _add_arguments(sub.add_parser(name, help=spec.help), spec)
     return parser
 
 
-def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+def _parse(argv: list[str]) -> tuple[str, SimpleNamespace]:
     """The command argv names and its parsed arguments.
 
-    When argv[0] names a command, only that command's parser is built,
-    and argv[1:] is read as build_parser() reads the whole line. There
-    the subparsers action is the top parser's one positional, and argv[0]
-    is a positional, so the action's nargs, 'A...', takes argv[0] and
-    every argument after it, flags too. The action hands argv[1:] to the
-    command's subparser, also a _Parser named "sbk <cmd>" with the same
-    arguments, through parse_known_args: help, usage errors and the
-    parsed values come from a parser like the one built here. What that
-    call leaves over, the top parser's parse_args rejects as
-    "unrecognized arguments" under its own name, "sbk"; so is it here.
+    When argv[0] names a command, argv[1:] is read by _read if it is
+    plain; otherwise only that command's parser is built, and it reads
+    argv[1:] as build_parser() reads the whole line. There the
+    subparsers action is the top parser's one positional, and argv[0] is
+    a positional, so the action's nargs, 'A...', takes argv[0] and every
+    argument after it, flags too. The action hands argv[1:] to the
+    command's subparser, a parser of the same class named "sbk <cmd>"
+    with the same arguments, through parse_known_args: help, usage
+    errors and the parsed values come from a parser like the one built
+    here. What that call leaves over, the top parser's parse_args
+    rejects as "unrecognized arguments" under its own name, "sbk"; so is
+    it here.
     """
     if argv and argv[0] in COMMANDS:
         command = argv[0]
-        parser = _Parser(prog=f"sbk {command}")
+        args = _read(COMMANDS[command], argv[1:])
+        if args is not None:
+            return command, args
+        parser = _parser_class()(prog=f"sbk {command}")
         _add_arguments(parser, COMMANDS[command])
-        args, extras = parser.parse_known_args(argv[1:])
+        parsed, extras = parser.parse_known_args(argv[1:])
         if extras:
             raise BadInput(f"sbk: unrecognized arguments: {' '.join(extras)}")
-        return command, args
-    args = build_parser().parse_args(argv)
-    return args.command, args
+        return command, SimpleNamespace(**vars(parsed))
+    parsed = build_parser().parse_args(argv)
+    return parsed.command, SimpleNamespace(**vars(parsed))
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -2,6 +2,8 @@
 
 Everything here works directly on raw Cayley tables so that the checks
 stay independent of the library's own search and closure code paths.
+The one exception is full_tree_parse, the reference reading of a
+command line: argparse's parser of every command.
 """
 
 from __future__ import annotations
@@ -623,3 +625,14 @@ def sylow_count_nilpotency(G) -> bool:
         if count != 1:
             return False
     return True
+
+
+def full_tree_parse(argv: list[str], parser=None):
+    """The command and arguments that the parser of every command,
+    sbk.cli.build_parser(), reads from argv, as sbk once read every line.
+    A parser already built that way may be passed in and read again:
+    parse_args keeps nothing from one line to the next."""
+    from sbk import cli
+
+    parsed = (parser or cli.build_parser()).parse_args(argv)
+    return parsed.command, parsed

@@ -5,14 +5,15 @@ verbose pytest output doubles as the acceptance report. All checks are
 exhaustive over the generated catalogs at the stated order bounds and use
 exact equality; there are no numeric tolerances anywhere.
 
-One check is known to fail and is kept deliberately:
-test_identities_mirrored_negated_factor_all_braces asserts the mirrored
-cancellation identity (-b)a = a - ba + a on every brace of order at most
-8. That identity is an instance of the mirrored compatibility law, which
-only two-sided braces satisfy; the catalog contains braces of order 6
-(cyclic addition, dihedral multiplication) where it genuinely fails. The
-correctly scoped variant restricted to two-sided braces passes and lives
-directly below it.
+The mirrored cancellation identity (-b)a = a - ba + a is an instance of
+the mirrored compatibility law, which only two-sided braces satisfy.
+test_identities_mirrored_negated_factor_all_braces tests it on every
+brace of order at most 8 and asserts the counterexamples the catalog
+holds: it fails on exactly five braces, at (order, index, a, b) = (6, 1,
+1, 1), (8, 1, 1, 1), (8, 4, 1, 1), (8, 13, 2, 2) and (8, 16, 2, 2), and
+none of them is two-sided. The order-6 one has cyclic addition and
+dihedral multiplication. The variant restricted to two-sided braces
+asserts no failure and lives directly below it.
 """
 
 from itertools import product
@@ -98,16 +99,24 @@ def test_identities_negated_right_factor_all_braces():
     _criterion("negated right factor identity on all braces", failures)
 
 
+# (order, index, a, b): the first pair at which (-b)a = a - ba + a fails
+MIRRORED_COUNTEREXAMPLES = [(6, 1, 1, 1), (8, 1, 1, 1), (8, 4, 1, 1), (8, 13, 2, 2), (8, 16, 2, 2)]
+
+
 def test_identities_mirrored_negated_factor_all_braces():
     # (-b)a = a - ba + a quantified over every brace; see module docstring
-    failures = []
+    first_failures = []
+    two_sided = []
     for n, idx, B in _catalog_range(8):
         at, mt, ainv = B.add.table, B.mul.table, B.add.inv
         for a, b in product(range(n), repeat=2):
             if mt[ainv[b]][a] != at[at[a][ainv[mt[b][a]]]][a]:
-                failures.append((n, idx, a, b))
+                first_failures.append((n, idx, a, b))
+                if classify(B).two_sided:
+                    two_sided.append((n, idx))
                 break
-    _criterion("mirrored negated factor identity on all braces", failures)
+    assert first_failures == MIRRORED_COUNTEREXAMPLES
+    _criterion("mirrored negated factor identity fails on no two-sided brace", two_sided)
 
 
 def test_identities_mirrored_negated_factor_two_sided():

@@ -1,11 +1,15 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path, PurePosixPath
 
 import pytest
 
+import oracles
 from sbk import cli
 from sbk.braces import from_group, opposite
 from sbk.cli import _analysis_obj, main
@@ -20,7 +24,8 @@ from sbk.substructure import (
     subbrace_carriers,
 )
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def write_brace(tmp_path, B, name="brace.json"):
@@ -218,11 +223,6 @@ ODD_ARGVS = [
 ]
 
 
-def _full_tree_parse(argv):
-    args = cli.build_parser().parse_args(argv)
-    return args.command, args
-
-
 @pytest.mark.parametrize(
     "argv",
     [*([cmd, "--help"] for cmd in COMMAND_NAMES), *([cmd] for cmd in COMMAND_NAMES)]
@@ -237,10 +237,12 @@ def test_one_command_parser_reads_like_the_full_tree(argv, tmp_path, capsys, mon
     made = _count_parsers(monkeypatch)
     alone = _outcome(argv, capsys)
     if argv[0] in COMMAND_NAMES:
-        assert made == [f"sbk {argv[0]}"]
+        # a plain line, such as a repeated --json, is read with no parser
+        plain = cli._read(cli.COMMANDS[argv[0]], argv[1:]) is not None
+        assert made == ([] if plain else [f"sbk {argv[0]}"])
     else:
         assert made == ["sbk", *(f"sbk {cmd}" for cmd in COMMAND_NAMES)]
-    monkeypatch.setattr(cli, "_parse", _full_tree_parse)
+    monkeypatch.setattr(cli, "_parse", oracles.full_tree_parse)
     assert _outcome(argv, capsys) == alone
     assert alone[0] in (0, 1)
 
@@ -254,22 +256,142 @@ def test_help_lists_every_command(capsys):
     assert [name for name in listed if name in COMMAND_NAMES] == COMMAND_NAMES
 
 
+# tokens a line is made of, besides a command's own options: positionals
+# valid for some command and for none, abbreviations, '=' forms, '--', a
+# lone '-', help flags, an unknown flag and a short one
+ODD_TOKENS = ["1", "x", "-1", ""]
+ODD_TOKENS += ["--j", "--wo", "--t", "--b", "--o"]
+ODD_TOKENS += ["--json=1", "--out=x", "--workers=2", "--workers=x"]
+ODD_TOKENS += ["--", "-", "-h", "--he", "--bogus", "-x"]
+
+
+def _options(cmd):
+    return [flags[0] for flags, _ in cli.COMMANDS[cmd].arguments if flags[0][0] == "-"]
+
+
+def _lines(path):
+    """Every line of a command and up to two tokens of its vocabulary,
+    every one of three tokens that could be plain, a seeded sample of
+    longer ones and lines that name no command."""
+    rng = random.Random(7)
+    lines = [[], ["frobnicate"], ["-x", "verify"]]
+    lines += [[token] for token in ODD_TOKENS]
+    for cmd in COMMAND_NAMES:
+        vocabulary = [path, *_options(cmd), *ODD_TOKENS]
+        for k in range(3):
+            lines += ([cmd, *tokens] for tokens in product(vocabulary, repeat=k))
+        plain = [path, "1", "x", "", *_options(cmd)]
+        lines += ([cmd, *tokens] for tokens in product(plain, repeat=3))
+        for _ in range(150):
+            lines.append([cmd, *rng.choices(vocabulary, k=rng.randint(3, 5))])
+    return lines
+
+
+def test_reader_matches_argparse(tmp_path, capsys, monkeypatch):
+    """main reads every line as the parser of every command does: the same
+    exit code, stdout and stderr, and the same arguments reach the
+    command. Handlers only record what they get, so no command runs."""
+    seen = []
+
+    def recorder(name):
+        def handler(args):
+            seen.append((name, {k: v for k, v in vars(args).items() if k != "command"}))
+            return 0
+
+        return handler
+
+    commands = {name: spec._replace(handler=recorder(name)) for name, spec in cli.COMMANDS.items()}
+    monkeypatch.setattr(cli, "COMMANDS", commands)
+    lines = _lines(str(tmp_path / "brace.json"))
+
+    def readings():
+        out = []
+        for argv in lines:
+            out.append((*_outcome(argv, capsys), seen.pop() if seen else None))
+        return out
+
+    ours = readings()
+    tree = cli.build_parser()
+    monkeypatch.setattr(cli, "_parse", lambda argv: oracles.full_tree_parse(argv, tree))
+    theirs = readings()
+    for argv, got, want in zip(lines, ours, theirs):
+        assert got == want, argv
+    # many lines are plain, and most go to argparse
+    taken = [a for a in lines if a and a[0] in commands and cli._read(commands[a[0]], a[1:])]
+    assert 150 < len(taken) < len(lines) / 10
+
+
+# the lines perfbench runs, all plain
+PLAIN_ARGVS = [
+    *([cmd, "--json", "{path}"] for cmd in ("verify", "analyze", "cauchy", "ybe")),
+    ["enumerate", "8", "--out", "{path}"],
+    ["survey", "15", "--json", "--workers", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGVS, ids="_".join)
+def test_reader_takes_the_benchmark_lines(argv, tmp_path):
+    argv = [str(tmp_path) if arg == "{path}" else arg for arg in argv]
+    args = cli._read(cli.COMMANDS[argv[0]], argv[1:])
+    assert args is not None
+    want = vars(oracles.full_tree_parse(argv)[1])
+    assert vars(args) == {k: v for k, v in want.items() if k != "command"}
+
+
+@pytest.mark.parametrize(
+    "argument",
+    [(("-o", "--out"), {}), (("--out",), {"nargs": "?"}), (("--out",), {"action": "append"})],
+    ids=["two_names", "nargs", "append"],
+)
+def test_reader_leaves_other_arguments_to_argparse(argument):
+    spec = cli.COMMANDS["verify"]
+    spec = spec._replace(arguments=(*spec.arguments, argument))
+    assert cli._read(spec, ["x", "--json"]) is None
+    assert cli._read(cli.COMMANDS["verify"], ["x", "--json"]) is not None
+
+
+def test_a_plain_line_imports_no_argparse(tmp_path):
+    path = write_brace(tmp_path, from_group(cyclic_group(4), "trivial"))
+    code = f"import sys; from sbk.cli import main; assert main(['verify', {path!r}]) == 0"
+    added = _new_modules(code) - _new_modules("import sys")
+    assert "sbk.cli" in added
+    assert added & {"argparse", "gettext"} == set()
+    # help still comes from argparse
+    result = run_cli(["verify", "--help"])
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: sbk verify")
+
+
+def test_readme_synopsis_names_every_flag():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    named = {}
+    for line in block.splitlines():
+        cmd = line.split()[1]
+        named[cmd] = set(re.findall(r"--[a-z-]+", line))
+    assert named == {cmd: set(_options(cmd)) for cmd in COMMAND_NAMES}
+
+
 def _count_parsers(monkeypatch):
     made = []
-    init = cli._Parser.__init__
+    parser_class = cli._parser_class()
+    init = parser_class.__init__
 
     def counting(self, *args, **kwargs):
         made.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    monkeypatch.setattr(parser_class, "__init__", counting)
     return made
 
 
 def test_a_command_builds_one_parser(tmp_path, capsys, monkeypatch):
+    # at most one: none for a plain line, "sbk <cmd>" for any other
     path = write_brace(tmp_path, from_group(cyclic_group(4), "trivial"))
     made = _count_parsers(monkeypatch)
     assert main(["verify", path]) == 0
+    assert made == []
+    assert main(["verify", path, "--js"]) == 0
     assert made == ["sbk verify"]
 
 
@@ -279,7 +401,7 @@ def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["sbk", "verify", path])
     assert main() == 0
     assert "valid skew brace of order 4" in capsys.readouterr().out
-    assert made == ["sbk verify"]
+    assert made == []
 
 
 def test_workers_default_follows_the_cpu_count_of_each_call(capsys, monkeypatch):
