@@ -31,15 +31,17 @@ so for b in E as well mu_(a*b) is a composite of additive maps. E holds
 group once it holds T: the law is decided on the pairs (a, c) in T x S,
 for every b, in O(n |T| |S|) work in place of n^3.
 
-One loop, _law_violation, decides the law for every caller: assemble
-(and so make_skew_brace) raises on its first bad triple, _is_bi_skew asks
+One loop, _law_failure, runs the law on (a, c) in T x S for every
+caller. _law_holds answers yes or no from that alone: _is_bi_skew asks
 it of (mul, add), which is the bi-skew property (Childs, New York J.
 Math. 25 (2019)) that both swap and classify read, and is_two_sided asks
 it of the transposed multiplication, which is the mirrored law (Koch and
-Truman, J. Algebra 546 (2020)). Each passes a group as the table playing
-*: assemble a validated group, _is_bi_skew the additive group, and
-is_two_sided the opposite multiplicative group, which the same mul.gens
-generate.
+Truman, J. Algebra 546 (2020)). Only assemble (and so make_skew_brace)
+goes through _law_violation, which, once the generators fail, scans
+every a and c to name the first bad triple in its error. Each passes a
+group as the table playing *: assemble a validated group, _is_bi_skew
+the additive group, and is_two_sided the opposite multiplicative group,
+which the same mul.gens generate.
 Only tables from outside and swap are checked: opposite braces,
 quotients by ideals, from_group braces and catalog entries are skew
 braces by theorem, each cited where it is built, so _brace builds them
@@ -124,9 +126,18 @@ def _law_violation(
     add.gens; only when it fails there is every a and c scanned, to name
     the first bad triple.
     """
-    if _law_failure(add, mul_table, mul_gens, add.gens) is None:
+    if _law_holds(add, mul_table, mul_gens):
         return None
     return _law_failure(add, mul_table, range(add.n), range(add.n))
+
+
+def _law_holds(
+    add: FiniteGroup, mul_table: Sequence[Sequence[int]], mul_gens: Sequence[int]
+) -> bool:
+    """Whether the law holds on every triple, decided on a in mul_gens and
+    c in add.gens alone; mul_table must be a group with identity 0,
+    generated by mul_gens."""
+    return _law_failure(add, mul_table, mul_gens, add.gens) is None
 
 
 def _law_failure(
@@ -257,7 +268,7 @@ def _is_bi_skew(B: SkewBrace) -> bool:
     """Whether the law holds with the operations exchanged: (B,*) as the
     additive group, + as the multiplication. Both are groups with identity
     0, so this alone makes the swapped structure a skew brace."""
-    return _law_violation(B.mul, B.add.table, B.add.gens) is None
+    return _law_holds(B.mul, B.add.table, B.add.gens)
 
 
 def is_trivial(B: SkewBrace) -> bool:
@@ -273,7 +284,7 @@ def is_almost_trivial(B: SkewBrace) -> bool:
 def is_two_sided(B: SkewBrace) -> bool:
     """Whether the mirrored law (b + c)*a = b*a - a + c*a also holds: the
     left law for the opposite multiplication, the transposed table."""
-    return _law_violation(B.add, tuple(zip(*B.mul.table)), B.mul.gens) is None
+    return _law_holds(B.add, tuple(zip(*B.mul.table)), B.mul.gens)
 
 
 def classify(B: SkewBrace) -> BraceFlags:

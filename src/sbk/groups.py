@@ -22,12 +22,13 @@ are one bytes.translate each.
 The same argument decides normality: the g with gHg^-1 in H are closed
 under products, so is_normal tests only the group's generators. So does
 center: the centralizer of g is a subgroup, so g is central once it
-commutes with every generator. The brace layer decides its tests the
-same way, on generators of (B,*) through lambda_(a*b) = lambda_a lambda_b
-and on generators of a subgroup through the additivity of each lambda_a:
-lambda invariance, the carrier filter of the subbrace lattice, the star
-square and the compatibility law (substructure.py and braces.py give the
-proofs).
+commutes with every generator, and the centre is the intersection of
+the generators' centralizers, one bitmask each. The brace layer decides
+its tests the same way, on generators of (B,*) through lambda_(a*b) =
+lambda_a lambda_b and on generators of a subgroup through the
+additivity of each lambda_a: lambda invariance, the carrier filter of
+the subbrace lattice, the star square and the compatibility law
+(substructure.py and braces.py give the proofs).
 
 No Latin square test is needed beside it. In an associative table with
 identity e in which every row holds e, every x has a right inverse y,
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence
 
 from .bitset import ElementSet, contains, full_mask, mask_of, members, size
@@ -130,12 +131,20 @@ class CharacteristicSubgroups(NamedTuple):
 
 
 def find_identity(table: Sequence[Sequence[int]]) -> Optional[int]:
-    """The first two-sided identity of a square table, or None."""
-    n = len(table)
-    for e in range(n):
-        if all(table[e][j] == j for j in range(n)) and all(table[i][e] == i for i in range(n)):
+    """The first two-sided identity of a square table, or None.
+
+    Each candidate is a row equal to 0..n-1, found by list.index over the
+    rows as tuples; its column is then compared once."""
+    ident = tuple(range(len(table)))
+    rows = list(map(tuple, table))
+    e = -1
+    while True:
+        try:
+            e = rows.index(ident, e + 1)
+        except ValueError:
+            return None
+        if tuple(map(itemgetter(e), table)) == ident:
             return e
-    return None
 
 
 def make_group(
@@ -485,14 +494,16 @@ def centralizer(G: FiniteGroup, x: int) -> ElementSet:
 
 def center(G: FiniteGroup) -> ElementSet:
     """The g commuting with every element. The centralizer of g is a
-    subgroup, so it is G once it holds every generator in G.gens."""
+    subgroup, so it is G once it holds every generator in G.gens.
+
+    The centralizer of each s in G.gens is one mask, the sum of the bits
+    1 << g at which column s and row s agree, built by map and compress;
+    the centre is their intersection."""
     table = G.table
-    gens = G.gens
-    out = 0
-    for g in G.elements():
-        row = table[g]
-        if all(row[s] == table[s][g] for s in gens):
-            out |= 1 << g
+    bits = list(map((1).__lshift__, range(G.n)))
+    out = full_mask(G.n)
+    for s in G.gens:
+        out &= sum(itertools.compress(bits, map(eq, map(itemgetter(s), table), table[s])))
     return out
 
 

@@ -18,14 +18,19 @@ written by one %d format string built for its shape, filled from its
 flattened ints in one call: a brace file's table, or a whole Yang-Baxter
 map, whose entries are [u, v] pairs. Plain means of type int exactly,
 so a bool, which prints as true, never meets %d. Keys, every other
-scalar, ragged rows and empty rows keep the general path,
-and scalars still go through json.dumps.
+scalar, ragged rows and empty rows keep the general path. There a str,
+key or value, goes through json.encoder.encode_basestring_ascii, the C
+function json.dumps itself calls for one; true, false and null are
+written as they are, and an int of type int exactly by int.__repr__, as
+json does. Floats, int subclasses and every other scalar still go
+through json.dumps, and so does a dict with a key that is not a str.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .bitset import members
@@ -63,9 +68,24 @@ def _dumps(obj: Any, nl: str) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        keys = sorted(obj)
+        try:
+            names = list(map(encode_basestring_ascii, keys))
+        except TypeError:  # a key that is not a str: json's own key rules
+            return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
         inner = nl + "  "
-        items = [json.dumps(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]
+        items = [name + ": " + _dumps(obj[k], inner) for name, k in zip(names, keys)]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj.__class__ is int:
+        return int.__repr__(obj)
     return json.dumps(obj)
 
 

@@ -100,6 +100,16 @@ def left_compatible(add, mul) -> bool:
     return True
 
 
+def find_identity_by_definition(table):
+    """The first e, in index order, with e*x = x = x*e for every x; None
+    when the square table has no two-sided identity."""
+    n = len(table)
+    for e in range(n):
+        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
+            return e
+    return None
+
+
 def first_nonassociative(table):
     """The first triple (i, j, k), in lexicographic order, with
     (ij)k != i(jk); None for an associative table."""

@@ -3,7 +3,10 @@ from itertools import product
 
 import pytest
 
+from sbk import braces
 from sbk.braces import (
+    _law_failure as law_failure,
+    assemble,
     classify,
     from_group,
     is_almost_trivial,
@@ -352,24 +355,77 @@ def test_from_group_passes_validation(n):
         _assert_validated(from_group(G, "almost_trivial"), G.table, transposed)
 
 
+def _assert_flags_match_the_oracles(B0, name=""):
+    """classify, is_two_sided and swap agree with the brute-force
+    compatibility check on B0 and its opposite."""
+    n = B0.n
+    for B in (B0, opposite(B0)):
+        add, mul = B.add.table, B.mul.table
+        flags = classify(B)
+        two_sided = oracles.left_compatible(add, tuple(zip(*mul)))
+        assert is_two_sided(B) == flags.two_sided == two_sided, name
+        sw = swap(B)
+        assert (sw is not None) == flags.bi_skew == oracles.left_compatible(mul, add), name
+        if sw is not None:
+            rebuilt = make_skew_brace(mul, add)
+            assert sw == rebuilt and sw.lam == rebuilt.lam, name
+        commutative = all(add[a][b] == add[b][a] for a in range(n) for b in range(n))
+        assert flags.abelian == (mul == add and commutative), name
+
+
 @pytest.mark.parametrize("n", range(1, 16))
 def test_flags_match_the_oracles(n):
-    # one law loop answers validation, two-sided and bi-skew; the
-    # brute-force compatibility check is the arbiter, on every catalog
-    # brace and its opposite
+    # the flags are decided on generators; the brute-force compatibility
+    # check is the arbiter, on every catalog brace and its opposite
     for B0 in all_skew_braces(n).entries:
-        for B in (B0, opposite(B0)):
-            add, mul = B.add.table, B.mul.table
+        _assert_flags_match_the_oracles(B0)
+
+
+def test_flags_match_the_oracles_on_relabelings_and_large_products():
+    """The same on the kernel braces the catalog test leaves out: each
+    seeded relabeling, whose identity is off index 0 in its file, and the
+    nine products of orders 16 to 64 with their relabelings."""
+    seen = set()
+    for name, B in kernel_braces():
+        if B.n > 15 or name.endswith("relabeled"):
+            _assert_flags_match_the_oracles(B, name)
+        if B.n > 15:
             flags = classify(B)
-            two_sided = oracles.left_compatible(add, tuple(zip(*mul)))
-            assert is_two_sided(B) == flags.two_sided == two_sided
-            sw = swap(B)
-            assert (sw is not None) == flags.bi_skew == oracles.left_compatible(mul, add)
-            if sw is not None:
-                rebuilt = make_skew_brace(mul, add)
-                assert sw == rebuilt and sw.lam == rebuilt.lam
-            commutative = all(add[a][b] == add[b][a] for a in range(n) for b in range(n))
-            assert flags.abelian == (mul == add and commutative)
+            seen |= {("two_sided", flags.two_sided), ("bi_skew", flags.bi_skew)}
+    # the products give both answers of both flags
+    assert len(seen) == 4
+
+
+def test_classify_decides_the_flags_on_generators_alone(monkeypatch):
+    """classify never scans every element as a: both flags read the law on
+    mul.gens (or add.gens) only. assemble still scans every a and c once
+    the generators fail, and names the brute-force first bad triple."""
+    calls = []
+
+    def spy(add, mul_table, as_, cs):
+        calls.append((add.n, list(as_)))
+        return law_failure(add, mul_table, as_, cs)
+
+    monkeypatch.setattr(braces, "_law_failure", spy)
+    for n in range(1, 16):
+        for B0 in all_skew_braces(n).entries:
+            for B in (B0, opposite(B0)):
+                calls.clear()
+                classify(B)
+                assert len(calls) == 2
+                assert all(as_ != list(range(k)) for k, as_ in calls), (n, calls)
+    rejected = 0
+    for n in range(4, 9):
+        entries = all_skew_braces(n).entries
+        for A, M in product(entries[:4], repeat=2):
+            calls.clear()
+            try:
+                assemble(A.add, M.mul)
+            except LeftDistributivityFails as exc:
+                assert exc.triple == oracles.first_incompatible(A.add.table, M.mul.table)
+                assert (n, list(range(n))) in calls
+                rejected += 1
+    assert rejected > 0
 
 
 def kernel_braces():

@@ -6,9 +6,9 @@ their tests on generating sets; assemble decides the compatibility law on
 generators of both groups. Each is checked here against its definition,
 from raw tables or tests/oracles.py, on a seeded relabeling of every
 catalog brace through order 15 and of its opposite, and of the trivial and
-almost trivial braces on the 14 groups of order 16. The law is checked on
-every (add, mul) pair of group tables of the catalog braces of one order,
-through order 8. What analyze reads without building the opposite or the
+almost trivial braces on the 14 groups of order 16. The law and the
+two-sided and bi-skew flags are checked on every (add, mul) pair of
+group tables of the catalog braces of one order, through order 8. What analyze reads without building the opposite or the
 swapped brace, or testing the centre as an ideal, is checked against
 what it reads off those.
 """
@@ -23,6 +23,7 @@ from sbk.braces import (
     assemble,
     classify,
     from_group,
+    is_two_sided,
     make_skew_brace,
     opposite,
     swap,
@@ -185,7 +186,10 @@ def test_law_on_every_pair_of_catalog_group_tables(n):
     tables found in the catalog braces of order n, each relabeled by a
     seeded permutation fixing 0 and by the cycle (1 2 ... n-1), the same
     two for every table, so the catalog's own pairs stay braces under
-    each."""
+    each. The two-sided and bi-skew flags are read on every pair as well,
+    brace or not: each is decided on the generators of the group that
+    plays *, and taking the other group's generators instead gives a wrong
+    answer on some of these pairs from order 4 on."""
     rng = random.Random(f"pairs:{n}")
     entries = all_skew_braces(n).entries
     tables = {t: None for B in entries for t in (B.add.table, B.mul.table)}
@@ -198,6 +202,10 @@ def test_law_on_every_pair_of_catalog_group_tables(n):
     braces = rejected = 0
     for A in groups:
         for M in groups:
+            pair = SkewBrace(n=n, add=A, mul=M, lam=())
+            mirrored = oracles.left_compatible(A.table, tuple(zip(*M.table)))
+            assert is_two_sided(pair) == mirrored
+            assert (swap(pair) is not None) == oracles.left_compatible(M.table, A.table)
             try:
                 assemble(A, M)
                 assert oracles.left_compatible(A.table, M.table)
@@ -235,6 +243,8 @@ def test_analyze_reads_what_the_built_braces_give():
         assert obj["centers"]["mul_is_ideal"] == is_ideal(B, center(B.mul))
         assert obj["opposite_square"] == brace_square(opposite(B))
         assert classify(B).bi_skew == (swap(B) is not None)
+        for G in (B.add, B.mul):
+            assert center(G) == _center_by_definition(G.table)
         if B.n > 16:
             continue  # the oracle tries every subset of a size dividing n
         for G in (B.add, B.mul):

@@ -6,9 +6,11 @@ import pytest
 from sbk import groups
 from sbk.bitset import full_mask, mask_of, members, size
 from sbk.enumeration import all_skew_braces
+from sbk.braces import make_skew_brace
 from sbk.errors import (
     BadInput,
     GroupTooLarge,
+    IdentityMismatch,
     NoIdentity,
     NotAssociative,
     NotLatinSquare,
@@ -52,6 +54,99 @@ def test_make_group_z2():
 def test_make_group_no_identity():
     with pytest.raises(NoIdentity):
         make_group([[0, 0], [0, 0]])
+
+
+def _identity_tables(rng: random.Random, n: int):
+    """(kind, planted identity, table) for seeded square tables of order n
+    with random entries: none planted; several left-only identity rows;
+    several right-only identity columns; one two-sided identity; and one
+    two-sided identity e after an index l < e whose row and column agree
+    with the identity's everywhere but at e. A one-sided identity l can
+    never sit beside a two-sided e, since l = l*e = e, so that near miss
+    is the closest a table can come to one."""
+
+    def rand():
+        return [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+
+    def plant_row(t, e):
+        t[e] = list(range(n))
+
+    def plant_column(t, e):
+        for x in range(n):
+            t[x][e] = x
+
+    yield "random", None, rand()
+    if n >= 2:
+        for kind, plant in (("left-only", plant_row), ("right-only", plant_column)):
+            t = rand()
+            for e in rng.sample(range(n), rng.randrange(2, n + 1)):
+                plant(t, e)
+            yield kind, None, t
+    e = rng.randrange(n)
+    t = rand()
+    plant_row(t, e)
+    plant_column(t, e)
+    yield "two-sided", e, t
+    if n >= 2:
+        e = rng.randrange(1, n)
+        l = rng.randrange(e)
+        t = rand()
+        for x in (l, e):
+            plant_row(t, x)
+            plant_column(t, x)
+        yield "after a near miss", e, t
+
+
+def test_find_identity_matches_the_definition():
+    rng = random.Random("identity")
+    planted_before = 0
+    for n in range(1, 13):
+        for _ in range(20):
+            for kind, planted, table in _identity_tables(rng, n):
+                e = oracles.find_identity_by_definition(table)
+                if planted is not None or kind != "random":
+                    assert e == planted, (n, kind)
+                for rows in ([list(r) for r in table], [tuple(r) for r in table]):
+                    assert groups.find_identity(rows) == e, (n, kind)
+                if e is None:
+                    with pytest.raises(NoIdentity):
+                        make_group(table)
+                elif kind == "after a near miss":
+                    planted_before += 1
+    assert planted_before == 11 * 20
+
+
+def test_identity_errors_name_the_identities_found():
+    """make_skew_brace names both tables' identities when they differ,
+    before it checks either table further; without one it raises
+    NoIdentity, as make_group does."""
+    rng = random.Random("identity errors")
+    for n in range(2, 13):
+        tables = [(e, t) for _, e, t in _identity_tables(rng, n) if e is not None]
+        tables.append((None, [[0] * n for _ in range(n)]))
+        for (e1, t1), (e2, t2) in product(tables, repeat=2):
+            if e1 is not None and e2 is not None and e1 != e2:
+                with pytest.raises(IdentityMismatch) as err:
+                    make_skew_brace(t1, t2)
+                assert (err.value.add_identity, err.value.mul_identity) == (e1, e2)
+            elif e1 is None:
+                with pytest.raises(NoIdentity):
+                    make_skew_brace(t1, t2)
+
+
+def test_center_past_the_order_cap():
+    # direct_product builds its table unchecked, so past MAX_GROUP_ORDER
+    cases = [
+        (direct_product(dihedral_group(8), dihedral_group(12)), 4),
+        (direct_product(dicyclic_group(8), cyclic_group(17)), 34),
+        (direct_product(cyclic_group(9), cyclic_group(8)), 72),
+    ]
+    for G, order in cases:
+        n, t = G.n, G.table
+        assert n > groups.MAX_GROUP_ORDER
+        expected = mask_of(g for g in range(n) if all(t[g][h] == t[h][g] for h in range(n)))
+        assert groups.center(G) == expected
+        assert size(expected) == order
 
 
 def test_make_group_not_latin():

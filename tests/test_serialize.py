@@ -1,5 +1,6 @@
 import json
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -287,9 +288,23 @@ def _random_value(rng: random.Random, depth: int = 0):
     return {_random_text(rng): v for v in items}
 
 
+class _Level(IntEnum):
+    HIGH = 7
+
+
 @pytest.mark.parametrize(
     "obj",
-    [[], {}, (), [[]], {"a": {}}, [1, True, 0], (3, -4), None, True, 2**64 + 1, "\u00e9\"\\\n"],
+    [
+        [], {}, (), [[]], {"a": {}}, [1, True, 0], (3, -4), None, True, 2**64 + 1,
+        "\u00e9\"\\\n",
+        # an int subclass and the floats json writes its own way
+        _Level.HIGH, [_Level.HIGH, 1], float("nan"), float("inf"), -0.0, 1e16,
+        # a lone surrogate, escaped as json escapes it
+        "\ud800",
+        {"t": True, "n": None, "s": "\u00e9\u4e2d\U0001f600"},
+        # keys that are not str follow json's key rules
+        {1: "a", 2: [3, {"x": None}]}, {"a": {2.5: True, 3: [False]}},
+    ],
     ids=repr,
 )
 def test_writer_matches_json_on_edge_cases(obj):
