@@ -34,18 +34,17 @@ for every b, in O(n |T| |S|) work in place of n^3.
 One loop, _law_failure, runs the law on (a, c) in T x S for every
 caller. _law_holds answers yes or no from that alone: _is_bi_skew asks
 it of (mul, add), which is the bi-skew property (Childs, New York J.
-Math. 25 (2019)) that both swap and classify read, and is_two_sided asks
-it of the transposed multiplication, which is the mirrored law (Koch and
-Truman, J. Algebra 546 (2020)). Only assemble (and so make_skew_brace)
+Math. 25 (2019)) that classify reads, and is_two_sided asks it of the
+transposed multiplication, which is the mirrored law (Koch and Truman,
+J. Algebra 546 (2020)). Only assemble (and so make_skew_brace)
 goes through _law_violation, which, once the generators fail, scans
 every a and c to name the first bad triple in its error. Each passes a
 group as the table playing *: assemble a validated group, _is_bi_skew
 the additive group, and is_two_sided the opposite multiplicative group,
 which the same mul.gens generate.
-Only tables from outside and swap are checked: opposite braces,
-quotients by ideals, from_group braces and catalog entries are skew
-braces by theorem, each cited where it is built, so _brace builds them
-unchecked.
+Only tables from outside are checked: opposite braces, quotients by
+ideals, from_group braces and catalog entries are skew braces by
+theorem, each cited where it is built, so _brace builds them unchecked.
 """
 
 from __future__ import annotations
@@ -157,7 +156,7 @@ def _law_failure(
     n = add.n
     if n == 1:
         return None
-    plus = list(zip(*add.table))  # plus[c][b] = b + c
+    plus = add.columns  # plus[c][b] = b + c
     # at_plus(r) = (r[b + c] for every b), one getter per c
     steps = [(c, itemgetter(*plus[c])) for c in cs]
     for a in as_:
@@ -194,7 +193,7 @@ def _brace(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
 
 def _op(G: FiniteGroup) -> FiniteGroup:
     """The opposite group, a o b = b * a: the transposed table."""
-    return _group(zip(*G.table), name=G.name + "^op" if G.name else "")
+    return _group(G.columns, name=G.name + "^op" if G.name else "")
 
 
 def make_skew_brace(
@@ -239,11 +238,6 @@ def _skew_brace_of_rows(
         raise LeftDistributivityFails(*(back.get(x, x) for x in exc.triple)) from None
 
 
-def lambda_of(B: SkewBrace, a: int) -> Perm:
-    """The additive automorphism b -> -a + a*b."""
-    return B.lam[a]
-
-
 def star(B: SkewBrace, a: int, b: int) -> int:
     """The star product -a + a*b - b, the gap between the two operations."""
     return B.add.table[B.lam[a][b]][B.add.inv[b]]
@@ -254,14 +248,6 @@ def opposite(B: SkewBrace) -> SkewBrace:
     as b + a). It is a skew brace whenever B is (Koch and Truman, J.
     Algebra 546 (2020)), so nothing is checked."""
     return _brace(_op(B.add), B.mul)
-
-
-def swap(B: SkewBrace) -> Optional[SkewBrace]:
-    """The structure with the two operations exchanged, when it is again a
-    skew brace; None otherwise. Success is exactly the bi-skew property."""
-    if not _is_bi_skew(B):
-        return None
-    return _brace(B.mul, B.add)
 
 
 def _is_bi_skew(B: SkewBrace) -> bool:
@@ -278,13 +264,13 @@ def is_trivial(B: SkewBrace) -> bool:
 def is_almost_trivial(B: SkewBrace) -> bool:
     """Whether a*b = b + a for all a and b: the multiplication table is the
     transposed additive one."""
-    return B.mul.table == tuple(zip(*B.add.table))
+    return B.mul.table == B.add.columns
 
 
 def is_two_sided(B: SkewBrace) -> bool:
     """Whether the mirrored law (b + c)*a = b*a - a + c*a also holds: the
     left law for the opposite multiplication, the transposed table."""
-    return _law_holds(B.add, tuple(zip(*B.mul.table)), B.mul.gens)
+    return _law_holds(B.add, B.mul.columns, B.mul.gens)
 
 
 def classify(B: SkewBrace) -> BraceFlags:

@@ -1,27 +1,31 @@
 """Subbraces of prime order and the exhaustive small-order survey.
 
-The search for an order-p subbrace is complete: such a subbrace carries
-two groups of prime order on the same p points, so both are cyclic and
-the carrier equals the additive cyclic subgroup generated by any nonzero
-member. It therefore suffices to scan elements of additive order p and
-test whether their additive cyclic subgroup is closed under the
-multiplication; a finite set containing 0 and closed under the product is
-automatically a subgroup. Closure is tested on the one generator x: the
-cyclic group <x> is closed under * exactly when lambda_y(x) lies in it
-for every y in it (substructure._mul_closed).
+The search for an order-p subbrace is complete, and one test decides it.
+An order-p subbrace S carries two groups of prime order on the same p
+points, so both are cyclic and S is the additive cyclic subgroup <x> of
+any nonzero member x. A brace of prime order is trivial: its lambda map
+is a homomorphism from a group of order p into the automorphisms of a
+cyclic group of order p, a group of order p - 1, so it is trivial. So
+lambda_x fixes x. Conversely, if lambda_x(x) = x then lambda_x fixes <x>
+pointwise, as it is additive; x*kx = x + kx, so the k-fold product of x
+is kx and lambda_(kx) = lambda_x^k fixes <x> as well, and <x> is closed
+under * with x*y = x + y on it. So an order-p subbrace exists exactly
+when some x of additive order p has lambda_x(x) = x, and the least such
+x gives the witness.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .bitset import ElementSet, members
+from .bitset import ElementSet
 from .braces import BraceFlags, SkewBrace, classify
 from .enumeration import all_skew_braces
 from .errors import NotPrime, PrimeDoesNotDivideOrder
-from .groups import _is_prime, element_order, generated_subgroup, prime_divisors, sylow_p
-from .substructure import _mul_closed, is_lambda_invariant
+from .groups import _is_prime, element_order, generated_subgroup, prime_divisors
 
+# A found witness is always a fixed point's; a search that finds none has
+# scanned every candidate, and reports so.
 STRATEGY_FIXED_POINT = "lambda_fixed_point"
 STRATEGY_BRUTE_FORCE = "brute_force"
 
@@ -48,10 +52,9 @@ class SurveyRow(NamedTuple):
 def find_subbrace_of_order(B: SkewBrace, p: int) -> Optional[ElementSet]:
     """Smallest-generator subbrace of order p, or None if none exists.
 
-    Elements x with additive order p are scanned in index order. If
-    lam[x](x) = x the additive cyclic subgroup of x is a trivial subbrace
-    and is accepted immediately; otherwise it is accepted exactly when it
-    is closed under the multiplication.
+    Elements x with additive order p are scanned in index order, and the
+    additive cyclic subgroup of the first with lam[x](x) = x is returned:
+    by the module docstring it is a subbrace, and no other x gives one.
     """
     witness, _ = find_subbrace_with_strategy(B, p)
     return witness
@@ -67,11 +70,8 @@ def find_subbrace_with_strategy(
     for x in range(1, B.n):
         if element_order(B.add, x) != p:
             continue
-        cyc = generated_subgroup(B.add, [x])
         if B.lam[x][x] == x:
-            return cyc, STRATEGY_FIXED_POINT
-        if _mul_closed(B, cyc, [x], members(cyc)):
-            return cyc, STRATEGY_BRUTE_FORCE
+            return generated_subgroup(B.add, [x]), STRATEGY_FIXED_POINT
     return None, STRATEGY_BRUTE_FORCE
 
 
@@ -85,21 +85,6 @@ def cauchy_report(B: SkewBrace) -> CauchyReport:
         entries=tuple(entries),
         all_primes_witnessed=all(e.witness is not None for e in entries),
     )
-
-
-def sylow_fixed_point_diagnostic(B: SkewBrace, p: int) -> Optional[ElementSet]:
-    """A Sylow p-subgroup of the additive group stabilized by every lambda
-    map, or None. Mirrors the fixed-point counting used to locate prime
-    witnesses in structured cases; not needed for completeness of
-    find_subbrace_of_order."""
-    if not _is_prime(p):
-        raise NotPrime(p)
-    if B.n % p != 0:
-        raise PrimeDoesNotDivideOrder(p, B.n)
-    for P in sylow_p(B.add, p):
-        if is_lambda_invariant(B, P):
-            return P
-    return None
 
 
 def survey_order(n: int) -> list[SurveyRow]:

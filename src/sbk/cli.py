@@ -13,12 +13,9 @@ reads one file never loads multiprocessing.
 Each command is declared once, in COMMANDS. When the first argument names
 a command and the rest of the line is plain (_read says what that is),
 main reads it from COMMANDS alone, builds no parser and never imports
-argparse. Any other line goes to argparse: a line that names a command
-gets one parser, "sbk <cmd>" with that command's arguments; no
-arguments, a leading flag or an unknown command get the parser of every
-command, so help and usage errors list them all. Every path reads a
-line the same (_read and _parse give the proof), so argparse writes
-every help text and error. No parser is built at import or kept between
+argparse. Any other line goes to the parser of every command, which
+reads a plain line the same (_read gives the proof), and writes every
+help text and error. No parser is built at import or kept between
 calls.
 """
 
@@ -392,7 +389,7 @@ def _read(spec: _Command, rest: list[str]) -> Optional[SimpleNamespace]:
     token of such a line alike: no token is '--', '-h', an abbreviation,
     an '=' form or a dash-leading value, so none is split, matched by
     prefix or read as a negative number. So the values here are those of
-    the one-command parser, and the defaults fill in the rest; a default
+    the command's subparser, and the defaults fill in the rest; a default
     that is a function is called on each call, as when a parser is built.
     A command with an argument of any other shape, such as two names or
     an nargs, is left to argparse whatever its line.
@@ -461,51 +458,30 @@ def _parser_class() -> type[argparse.ArgumentParser]:
     return _Parser
 
 
-def _add_arguments(parser: argparse.ArgumentParser, spec: _Command) -> None:
-    for flags, keywords in spec.arguments:
-        default = keywords.get("default")
-        if callable(default):
-            keywords = {**keywords, "default": default()}
-        parser.add_argument(*flags, **keywords)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command: one subparser per command, named
     "sbk <cmd>"."""
     parser = _parser_class()(prog="sbk", description="Finite skew brace toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=spec.help), spec)
+        subparser = sub.add_parser(name, help=spec.help)
+        for flags, keywords in spec.arguments:
+            default = keywords.get("default")
+            if callable(default):
+                keywords = {**keywords, "default": default()}
+            subparser.add_argument(*flags, **keywords)
     return parser
 
 
 def _parse(argv: list[str]) -> tuple[str, SimpleNamespace]:
-    """The command argv names and its parsed arguments.
-
-    When argv[0] names a command, argv[1:] is read by _read if it is
-    plain; otherwise only that command's parser is built, and it reads
-    argv[1:] as build_parser() reads the whole line. There the
-    subparsers action is the top parser's one positional, and argv[0] is
-    a positional, so the action's nargs, 'A...', takes argv[0] and every
-    argument after it, flags too. The action hands argv[1:] to the
-    command's subparser, a parser of the same class named "sbk <cmd>"
-    with the same arguments, through parse_known_args: help, usage
-    errors and the parsed values come from a parser like the one built
-    here. What that call leaves over, the top parser's parse_args
-    rejects as "unrecognized arguments" under its own name, "sbk"; so is
-    it here.
-    """
+    """The command argv names and its parsed arguments: read by _read when
+    argv[0] names a command and the rest of the line is plain, and by the
+    parser of every command otherwise."""
     if argv and argv[0] in COMMANDS:
         command = argv[0]
         args = _read(COMMANDS[command], argv[1:])
         if args is not None:
             return command, args
-        parser = _parser_class()(prog=f"sbk {command}")
-        _add_arguments(parser, COMMANDS[command])
-        parsed, extras = parser.parse_known_args(argv[1:])
-        if extras:
-            raise BadInput(f"sbk: unrecognized arguments: {' '.join(extras)}")
-        return command, SimpleNamespace(**vars(parsed))
     parsed = build_parser().parse_args(argv)
     return parsed.command, SimpleNamespace(**vars(parsed))
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from operator import eq, itemgetter
-from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from .bitset import ElementSet, contains, full_mask, mask_of, members, size
 from .errors import (
@@ -114,20 +114,15 @@ class FiniteGroup(_Frozen):
         identity, reach the whole group; computed once per group."""
         return _spanning(self.table)
 
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The transposed table, columns[j][i] = i o j; computed once per
+        group."""
+        return tuple(zip(*self.table))
+
     def __repr__(self) -> str:
         label = self.name or f"order {self.n}"
         return f"FiniteGroup({label})"
-
-
-class GroupProperties(NamedTuple):
-    abelian: bool
-    nilpotent: bool
-    soluble: bool
-
-
-class CharacteristicSubgroups(NamedTuple):
-    center: ElementSet
-    derived: ElementSet
 
 
 def find_identity(table: Sequence[Sequence[int]]) -> Optional[int]:
@@ -398,7 +393,7 @@ def _subgroup_lattice(G: FiniteGroup) -> Lattice:
     table = G.table
     n = G.n
     # bits[d][h] = the bit of h * d; a coset mask is a sum of distinct bits
-    bits = [tuple(1 << c for c in col) for col in zip(*table)]
+    bits = [tuple(1 << c for c in col) for col in G.columns]
     cyclic = [generated_subgroup(G, [x]) for x in G.elements()]
     gens_of: dict[ElementSet, list[int]] = {}
     for x, cyc in enumerate(cyclic):
@@ -507,25 +502,6 @@ def center(G: FiniteGroup) -> ElementSet:
     return out
 
 
-def _commutator(G: FiniteGroup, a: int, b: int) -> int:
-    t = G.table
-    return t[t[t[a][b]][G.inv[a]]][G.inv[b]]
-
-
-def _derived_of(G: FiniteGroup, mask: ElementSet) -> ElementSet:
-    ms = members(mask)
-    comms = {_commutator(G, a, b) for a in ms for b in ms}
-    return generated_subgroup(G, comms)
-
-
-def characteristic_subgroups(G: FiniteGroup) -> CharacteristicSubgroups:
-    """Center and derived subgroup of the group."""
-    return CharacteristicSubgroups(
-        center=center(G),
-        derived=_derived_of(G, full_mask(G.n)),
-    )
-
-
 def is_normal(G: FiniteGroup, mask: ElementSet) -> bool:
     """Whether gHg^-1 lies in H for every g. The g for which it does are
     closed under products, (gh)H(gh)^-1 = g(hHh^-1)g^-1, so testing the
@@ -569,37 +545,6 @@ def normal_closure(G: FiniteGroup, xs: Iterable[int]) -> ElementSet:
                 xs.append(y)
                 H = generated_subgroup(G, xs)
     return H
-
-
-def group_properties(G: FiniteGroup) -> GroupProperties:
-    """Abelian by table scan, nilpotency by the ascending central series,
-    solubility by the derived series."""
-    table = G.table
-    abelian = all(
-        table[a][b] == table[b][a] for a in G.elements() for b in G.elements()
-    )
-
-    full = full_mask(G.n)
-    z = 1  # trivial subgroup
-    while True:
-        nxt = 0
-        for x in G.elements():
-            if all(contains(z, _commutator(G, x, g)) for g in G.elements()):
-                nxt |= 1 << x
-        if nxt == z:
-            break
-        z = nxt
-    nilpotent = z == full
-
-    d = full
-    while True:
-        nxt = _derived_of(G, d)
-        if nxt == d:
-            break
-        d = nxt
-    soluble = d == 1
-
-    return GroupProperties(abelian=abelian, nilpotent=nilpotent, soluble=soluble)
 
 
 # ---------------------------------------------------------------------------
@@ -790,25 +735,6 @@ def table_isomorphisms(
 def automorphism_group(G: FiniteGroup) -> list[Perm]:
     """Every automorphism, found by backtracking on generator images."""
     return sorted(table_isomorphisms([G.table], [G.table], find_all=True))
-
-
-def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[Perm]:
-    """An isomorphism G -> H, or None if the groups are not isomorphic."""
-    if G.n != H.n:
-        return None
-    if G.table == H.table:
-        return tuple(range(G.n))
-    found = table_isomorphisms([G.table], [H.table])
-    return found[0] if found else None
-
-
-def is_automorphism(G: FiniteGroup, perm: Perm) -> bool:
-    if perm[0] != 0 or sorted(perm) != list(range(G.n)):
-        return False
-    t = G.table
-    return all(
-        perm[t[a][b]] == t[perm[a]][perm[b]] for a in range(G.n) for b in range(G.n)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""JSON formats for groups, braces and reports.
+"""JSON formats for braces and reports.
 
-Group files:  {"order": n, "table": [[...]]}
 Brace files:  {"order": n, "add": [[...]], "mul": [[...]]}
 
 Tables are 0-based and row-major with table[i][j] = i o j; the identity
@@ -37,7 +36,7 @@ from .bitset import members
 from .braces import SkewBrace, _skew_brace_of_rows
 from .cauchy import CauchyReport, SurveyRow
 from .errors import BadInput
-from .groups import FiniteGroup, _square_rows, make_group
+from .groups import _square_rows
 from .ybe import YBEMap
 
 
@@ -128,16 +127,6 @@ def _require_order(obj: Any) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadInput("field 'order' must be a positive integer")
     return n
-
-
-def group_from_obj(obj: Any, name: str = "") -> FiniteGroup:
-    n = _require_order(obj)
-    # make_group checks the rows and entries, calling the table 'table'
-    return make_group(_require_field(obj, "table", n), name=name)
-
-
-def group_to_obj(G: FiniteGroup) -> dict[str, Any]:
-    return {"order": G.n, "table": [list(row) for row in G.table]}
 
 
 def brace_from_obj(obj: Any) -> SkewBrace:

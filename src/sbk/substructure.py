@@ -1,4 +1,4 @@
-"""Subbraces, ideals, quotients, star spans and derived structure flags.
+"""Subbraces, ideals, quotients, the star square and solubility.
 
 An ideal is a subbrace that is invariant under every lambda map and normal
 in both groups; the quotient of a brace by an ideal is again a brace on
@@ -9,7 +9,7 @@ is a homomorphism from (B,*) (Guarnieri and Vendramin, Math. Comp. 86
 (2017), Prop. 1.9), so the a with lambda_a(M) inside M are closed under *
 and hold 0: they are all of B once they hold B.mul.gens. Second, each
 lambda_a is an automorphism of (B,+), so it maps a subgroup <X> into M
-exactly when it maps X into M, and its fixed points form a subgroup.
+exactly when it maps X into M.
 """
 
 from __future__ import annotations
@@ -23,21 +23,12 @@ from .groups import (
     Lattice,
     _conjugates_inside,
     _group,
-    _spanning,
     _subgroup_lattice,
     center,
-    generated_subgroup,
     is_normal,
     is_subgroup,
     normal_closure,
 )
-
-
-class Subbrace(NamedTuple):
-    carrier: ElementSet
-    is_ideal: bool
-    is_trivial_sub: bool
-    is_abelian_sub: bool
 
 
 class BraceCenters(NamedTuple):
@@ -75,29 +66,10 @@ def _mul_closed(B: SkewBrace, mask: ElementSet, gens: list[int], ms: list[int]) 
     return all(mask >> lam[x][g] & 1 for x in ms for g in gens)
 
 
-def is_trivial_carrier(B: SkewBrace, mask: ElementSet) -> bool:
-    """Whether x*y = x + y for x and y in the set. As x*y = x + lambda_x(y),
-    it does when lambda_x fixes y; the fixed points of lambda_x form an
-    additive subgroup, so y runs over a set that generates one holding the
-    mask, chosen from the mask."""
-    ms = members(mask)
-    gens = _spanning(B.add.table, among=ms)
-    lam = B.lam
-    return all(lam[x][g] == g for x in ms for g in gens)
-
-
-def is_abelian_carrier(B: SkewBrace, mask: ElementSet) -> bool:
-    """is_trivial_carrier, with + commutative on the set: a centralizer is
-    a subgroup, so y again runs over generators."""
-    ms = members(mask)
-    return _abelian_modulo(B, 1, _spanning(B.add.table, among=ms), ms)
-
-
 def _abelian_modulo(B: SkewBrace, ideal: ElementSet, gens: Iterable[int], ms: list[int]) -> bool:
     """Whether x*y = x + y and x + y = y + x modulo the ideal I for all x
     in ms and y in the additive subgroup J generated by gens: for J an
-    ideal holding I, whether J/I is an abelian brace; for I = {0}, whether
-    the operations agree and + commutes on ms.
+    ideal holding I, with members ms, whether J/I is an abelian brace.
 
     For each x the y that pass each test form an additive subgroup holding
     I, so y runs over gens. As x*y = x + lambda_x(y), the first test is
@@ -119,22 +91,6 @@ def _abelian_modulo(B: SkewBrace, ideal: ElementSet, gens: Iterable[int], ms: li
         for x in ms
         for g in gens
     )
-
-
-def subbraces(B: SkewBrace) -> list[Subbrace]:
-    carriers = _carrier_lattice(B)
-    ideal_lattice = _ideals_among(B, carriers)
-    out = []
-    for mask in carriers:
-        out.append(
-            Subbrace(
-                carrier=mask,
-                is_ideal=mask in ideal_lattice,
-                is_trivial_sub=is_trivial_carrier(B, mask),
-                is_abelian_sub=is_abelian_carrier(B, mask),
-            )
-        )
-    return out
 
 
 def is_lambda_invariant(B: SkewBrace, mask: ElementSet) -> bool:
@@ -224,13 +180,6 @@ def quotient(B: SkewBrace, ideal_mask: ElementSet) -> QuotientBrace:
     return QuotientBrace(brace=qb, reps=tuple(reps), projection=tuple(proj))
 
 
-def star_span(B: SkewBrace, x_mask: ElementSet, y_mask: ElementSet) -> ElementSet:
-    """Additive subgroup generated by all star products x*y with x in X,
-    y in Y."""
-    gens = {star(B, x, y) for x in members(x_mask) for y in members(y_mask)}
-    return generated_subgroup(B.add, gens)
-
-
 def brace_square(B: SkewBrace) -> ElementSet:
     """Star span of the whole brace with itself; zero exactly for trivial
     braces, and the smallest ideal with trivial quotient.
@@ -293,10 +242,6 @@ def brace_centers(B: SkewBrace) -> BraceCenters:
         z_mul=z_mul,
         z_mul_is_ideal=is_ideal(B, z_mul),
     )
-
-
-def is_simple(B: SkewBrace) -> bool:
-    return len(ideals(B)) == 2
 
 
 def is_soluble_brace(B: SkewBrace) -> Optional[list[ElementSet]]:

@@ -347,6 +347,21 @@ def _star_table(B) -> list[list[int]]:
     return [[at[lam[a][b]][neg[b]] for b in range(n)] for a in range(n)]
 
 
+def star_span(B, x_mask: int, y_mask: int) -> int:
+    """Mask of the additive subgroup generated by the star products x*y
+    with x in X and y in Y."""
+    star = _star_table(B)
+    xs = [x for x in range(B.n) if x_mask >> x & 1]
+    ys = [y for y in range(B.n) if y_mask >> y & 1]
+    return generated_subgroup_bruteforce(B.add.table, {star[x][y] for x in xs for y in ys})
+
+
+def operations_agree_on(B, mask: int) -> bool:
+    """Whether x*y = x + y for all x and y in the set."""
+    ms = [x for x in range(B.n) if mask >> x & 1]
+    return all(B.mul.table[x][y] == B.add.table[x][y] for x in ms for y in ms)
+
+
 def star_ideal_oracle(B, mask: int) -> bool:
     """Ideal test by star containment: an additive normal subgroup I with
     B*I and I*B inside I. Equivalent to the definitional test; proved by
@@ -609,6 +624,15 @@ def regular_assignments_both_orders(table, auts) -> list[tuple[int, ...]]:
     if propagate(init, [0]):
         backtrack(init)
     return results
+
+
+def is_automorphism(table, perm) -> bool:
+    """Whether perm is a bijection of the table's elements with
+    perm(ab) = perm(a)perm(b) for all a and b."""
+    n = len(table)
+    return sorted(perm) == list(range(n)) and all(
+        perm[table[a][b]] == table[perm[a]][perm[b]] for a in range(n) for b in range(n)
+    )
 
 
 def sylow_count_nilpotency(G) -> bool:

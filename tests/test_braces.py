@@ -11,11 +11,9 @@ from sbk.braces import (
     from_group,
     is_almost_trivial,
     is_two_sided,
-    lambda_of,
     make_skew_brace,
     opposite,
     star,
-    swap,
 )
 from sbk.enumeration import SUPPORTED_ORDERS, all_skew_braces, groups_of_order
 from sbk.errors import (
@@ -153,7 +151,7 @@ def test_almost_trivial_sym3_valid():
 def test_lambda_trivial_brace_is_identity():
     B = from_group(cyclic_group(6), "trivial")
     for a in range(6):
-        assert lambda_of(B, a) == tuple(range(6))
+        assert B.lam[a] == tuple(range(6))
 
 
 def test_lambda_almost_trivial_is_conjugation():
@@ -162,12 +160,12 @@ def test_lambda_almost_trivial_is_conjugation():
     ainv = B.add.inv
     for a in range(6):
         expected = tuple(at[at[ainv[a]][b]][a] for b in range(6))
-        assert lambda_of(B, a) == expected
+        assert B.lam[a] == expected
 
 
 def test_lambda_of_zero_is_identity():
     for B in all_skew_braces(6).entries:
-        assert lambda_of(B, 0) == tuple(range(6))
+        assert B.lam[0] == tuple(range(6))
 
 
 def test_star_trivial_brace_vanishes():
@@ -233,7 +231,8 @@ def test_swap_of_trivial_brace_always_succeeds():
 
         for G in groups_of_order(n):
             B = from_group(G, "trivial")
-            assert swap(B) is not None
+            assert oracles.left_compatible(B.mul.table, B.add.table)
+            assert classify(B).bi_skew
 
 
 def test_swap_returns_none_for_two_sided_non_bi_skew():
@@ -247,16 +246,16 @@ def test_swap_returns_none_for_two_sided_non_bi_skew():
         if found:
             break
     assert found is not None
-    assert swap(found) is None
+    assert not oracles.left_compatible(found.mul.table, found.add.table)
 
 
 def test_swapped_lambda_relation_on_bi_skew():
     # the lambda map of the swapped brace at the inverse index agrees with
     # the original lambda map
     for B in all_skew_braces(6).entries:
-        sw = swap(B)
-        if sw is None:
+        if not classify(B).bi_skew:
             continue
+        sw = make_skew_brace(B.mul.table, B.add.table)
         for a in range(B.n):
             for b in range(B.n):
                 assert sw.lam[B.mul.inv[a]][b] == B.lam[a][b]
@@ -356,19 +355,19 @@ def test_from_group_passes_validation(n):
 
 
 def _assert_flags_match_the_oracles(B0, name=""):
-    """classify, is_two_sided and swap agree with the brute-force
-    compatibility check on B0 and its opposite."""
+    """classify and is_two_sided agree with the brute-force compatibility
+    check on B0 and its opposite, and a bi-skew brace's swapped tables
+    make a brace."""
     n = B0.n
     for B in (B0, opposite(B0)):
         add, mul = B.add.table, B.mul.table
         flags = classify(B)
         two_sided = oracles.left_compatible(add, tuple(zip(*mul)))
         assert is_two_sided(B) == flags.two_sided == two_sided, name
-        sw = swap(B)
-        assert (sw is not None) == flags.bi_skew == oracles.left_compatible(mul, add), name
-        if sw is not None:
-            rebuilt = make_skew_brace(mul, add)
-            assert sw == rebuilt and sw.lam == rebuilt.lam, name
+        assert flags.bi_skew == oracles.left_compatible(mul, add), name
+        if flags.bi_skew:
+            swapped = make_skew_brace(mul, add)
+            assert (swapped.add.table, swapped.mul.table) == (mul, add), name
         commutative = all(add[a][b] == add[b][a] for a in range(n) for b in range(n))
         assert flags.abelian == (mul == add and commutative), name
 

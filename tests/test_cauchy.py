@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from sbk.bitset import full_mask, mask_of, members, size
-from sbk.braces import classify, from_group
+from sbk.braces import classify, from_group, make_skew_brace, opposite
 from sbk.cauchy import (
     STRATEGY_BRUTE_FORCE,
     STRATEGY_FIXED_POINT,
@@ -9,7 +11,6 @@ from sbk.cauchy import (
     find_subbrace_of_order,
     find_subbrace_with_strategy,
     survey,
-    sylow_fixed_point_diagnostic,
 )
 from sbk.enumeration import all_skew_braces
 from sbk.errors import NotPrime, PrimeDoesNotDivideOrder
@@ -17,13 +18,18 @@ from sbk.groups import (
     cyclic_group,
     dihedral_group,
     element_order,
-    group_properties,
     prime_divisors,
     sylow_p,
 )
-from sbk.substructure import is_soluble_brace, ker_lambda, subbrace_carriers
+from sbk.substructure import (
+    is_lambda_invariant,
+    is_soluble_brace,
+    ker_lambda,
+    subbrace_carriers,
+)
 
 import oracles
+from test_generators import groups_of_order_16
 
 
 def test_trivial_z6_witness_for_3():
@@ -51,15 +57,13 @@ def test_fast_path_fires_on_trivial_braces():
 
 
 def test_fast_path_witnesses_are_trivial_subbraces():
-    from sbk.substructure import is_trivial_carrier
-
     for n in range(2, 9):
         for B in all_skew_braces(n).entries:
             for p in prime_divisors(n):
                 witness, strategy = find_subbrace_with_strategy(B, p)
                 if strategy == STRATEGY_FIXED_POINT:
                     assert witness is not None
-                    assert is_trivial_carrier(B, witness)
+                    assert oracles.operations_agree_on(B, witness)
 
 
 def test_witness_soundness():
@@ -116,6 +120,45 @@ def test_finder_matches_bruteforce():
                     assert found in brute
 
 
+def _lemma_braces():
+    """Every catalog brace through order 15, its opposite, a seeded
+    relabeling of each, and the trivial and almost trivial braces on the
+    14 groups of order 16."""
+    rng = random.Random("fixed point lemma")
+    for n in range(1, 16):
+        for B0 in all_skew_braces(n).entries:
+            for B in (B0, opposite(B0)):
+                sigma = rng.sample(range(n), n)
+                yield B
+                yield make_skew_brace(
+                    oracles.relabel(B.add.table, sigma), oracles.relabel(B.mul.table, sigma)
+                )
+    for G in groups_of_order_16():
+        yield from_group(G, "trivial")
+        yield from_group(G, "almost_trivial")
+
+
+def test_prime_order_cyclic_subgroup_is_a_subbrace_exactly_at_a_fixed_point():
+    """For x of prime additive order p, <x> is closed under * exactly when
+    lambda_x(x) = x, closure checked on every pair of members; the finder
+    returns <x> for the least such x, and None when there is none."""
+    for B in _lemma_braces():
+        at, mt = B.add.table, B.mul.table
+        for p in prime_divisors(B.n):
+            first = None
+            for x in range(1, B.n):
+                cyc = oracles.generated_subgroup_bruteforce(at, [x])
+                if size(cyc) != p:
+                    continue
+                ms = members(cyc)
+                closed = all(cyc >> mt[u][v] & 1 for u in ms for v in ms)
+                assert closed == (B.lam[x][x] == x), (B.n, p, x)
+                if closed and first is None:
+                    first = cyc
+            strategy = STRATEGY_BRUTE_FORCE if first is None else STRATEGY_FIXED_POINT
+            assert find_subbrace_with_strategy(B, p) == (first, strategy)
+
+
 def test_report_on_prime_order():
     B = all_skew_braces(7).entries[0]
     report = cauchy_report(B)
@@ -141,21 +184,27 @@ def test_every_two_sided_or_bi_skew_brace_up_to_12_is_witnessed():
 def test_nilpotent_additive_group_implies_witnesses():
     for n in range(1, 9):
         for B in all_skew_braces(n).entries:
-            if group_properties(B.add).nilpotent:
+            if oracles.sylow_count_nilpotency(B.add):
                 assert cauchy_report(B).all_primes_witnessed
 
 
 def test_soluble_with_nilpotent_multiplication_implies_witnesses():
     for n in range(1, 9):
         for B in all_skew_braces(n).entries:
-            if is_soluble_brace(B) is not None and group_properties(B.mul).nilpotent:
+            if is_soluble_brace(B) is not None and oracles.sylow_count_nilpotency(B.mul):
                 assert cauchy_report(B).all_primes_witnessed
+
+
+def _stable_sylow(B, p):
+    """The first Sylow p-subgroup of (B,+) that every lambda map sends into
+    itself, or None."""
+    return next((P for P in sylow_p(B.add, p) if is_lambda_invariant(B, P)), None)
 
 
 def test_stable_sylow_on_trivial_braces():
     B = from_group(dihedral_group(6), "trivial")
     for p in (2, 3):
-        P = sylow_fixed_point_diagnostic(B, p)
+        P = _stable_sylow(B, p)
         assert P is not None
         assert P in sylow_p(B.add, p)
 
@@ -165,7 +214,7 @@ def test_unique_sylow_is_always_stable():
         for B in all_skew_braces(n).entries:
             for p in prime_divisors(n):
                 if len(sylow_p(B.add, p)) == 1:
-                    assert sylow_fixed_point_diagnostic(B, p) is not None
+                    assert _stable_sylow(B, p) is not None
 
 
 def test_stable_sylow_is_a_subbrace():
@@ -173,7 +222,7 @@ def test_stable_sylow_is_a_subbrace():
         for B in all_skew_braces(n).entries:
             carriers = set(subbrace_carriers(B))
             for p in prime_divisors(n):
-                P = sylow_fixed_point_diagnostic(B, p)
+                P = _stable_sylow(B, p)
                 if P is not None:
                     assert P in carriers
 
@@ -191,7 +240,7 @@ def test_stable_sylow_exists_for_prime_index_kernel():
             p = n // k
             if k < n and p in prime_divisors(n) and k % p != 0 and p * k == n:
                 hits += 1
-                assert sylow_fixed_point_diagnostic(B, p) is not None
+                assert _stable_sylow(B, p) is not None
     assert hits > 0
 
 
@@ -199,7 +248,7 @@ def test_stable_sylow_can_be_missing():
     # conjugation permutes the three involutions transitively in the
     # almost trivial brace on the dihedral group of order 6
     B = from_group(dihedral_group(6), "almost_trivial")
-    assert sylow_fixed_point_diagnostic(B, 2) is None
+    assert _stable_sylow(B, 2) is None
 
 
 def test_survey_small_orders_all_pass():

@@ -18,7 +18,6 @@ from sbk.groups import cyclic_group, dihedral_group, direct_product
 from sbk.serialize import brace_to_obj, canonical_dumps
 from sbk.substructure import (
     ideals,
-    is_simple,
     is_soluble_brace,
     minimal_ideals,
     subbrace_carriers,
@@ -92,7 +91,7 @@ def test_analysis_fields_equal_the_standalone_calls():
                 assert obj["subbraces"] == subbrace_carriers(B)
                 assert obj["ideals"] == ideals(B)
                 assert obj["minimal_ideals"] == minimal_ideals(B)
-                assert obj["simple"] == is_simple(B)
+                assert obj["simple"] == (len(ideals(B)) == 2)
                 assert obj["solubility_chain"] == is_soluble_brace(B)
 
 
@@ -236,12 +235,9 @@ def test_one_command_parser_reads_like_the_full_tree(argv, tmp_path, capsys, mon
     argv = [path if arg == "{path}" else arg for arg in argv]
     made = _count_parsers(monkeypatch)
     alone = _outcome(argv, capsys)
-    if argv[0] in COMMAND_NAMES:
-        # a plain line, such as a repeated --json, is read with no parser
-        plain = cli._read(cli.COMMANDS[argv[0]], argv[1:]) is not None
-        assert made == ([] if plain else [f"sbk {argv[0]}"])
-    else:
-        assert made == ["sbk", *(f"sbk {cmd}" for cmd in COMMAND_NAMES)]
+    # a plain line, such as a repeated --json, is read with no parser
+    plain = argv[0] in COMMAND_NAMES and cli._read(cli.COMMANDS[argv[0]], argv[1:]) is not None
+    assert made == ([] if plain else ["sbk", *(f"sbk {cmd}" for cmd in COMMAND_NAMES)])
     monkeypatch.setattr(cli, "_parse", oracles.full_tree_parse)
     assert _outcome(argv, capsys) == alone
     assert alone[0] in (0, 1)
@@ -385,14 +381,14 @@ def _count_parsers(monkeypatch):
     return made
 
 
-def test_a_command_builds_one_parser(tmp_path, capsys, monkeypatch):
-    # at most one: none for a plain line, "sbk <cmd>" for any other
+def test_a_plain_line_builds_no_parser(tmp_path, capsys, monkeypatch):
+    # none for a plain line, the parser of every command for any other
     path = write_brace(tmp_path, from_group(cyclic_group(4), "trivial"))
     made = _count_parsers(monkeypatch)
     assert main(["verify", path]) == 0
     assert made == []
     assert main(["verify", path, "--js"]) == 0
-    assert made == ["sbk verify"]
+    assert made == ["sbk", *(f"sbk {cmd}" for cmd in COMMAND_NAMES)]
 
 
 def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch):

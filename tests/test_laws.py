@@ -1,9 +1,9 @@
 """Property tests of the law checks against the O(n^3) oracles.
 
 make_group decides associativity on a generating set (Light's test), and
-assemble, is_two_sided and swap decide the compatibility law on pairs of
-generators, a of the group playing the multiplication and c of the
-additive group. Every group and catalog brace through order 15, and
+assemble, is_two_sided and the bi-skew flag decide the compatibility law
+on pairs of generators, a of the group playing the multiplication and c
+of the additive group. Every group and catalog brace through order 15, and
 products of orders 16 to 64, are corrupted with seeded random: one changed
 cell, a Latin-preserving 2x2 swap (a loop that still passes the Latin
 check), and, for the law, a corrupted second table over a valid group.
@@ -11,8 +11,8 @@ A corrupted table that is not a group goes through make_skew_brace, which
 must raise the failure tests/oracles.py finds first. Group tables (the
 brace's own, the same relabeled, relabeled tables of other catalog braces
 of the same order, and the corruptions that stay groups) go through
-assemble, is_two_sided and swap, whose verdicts must agree with the full
-scan and whose errors must name the first triple it finds. On every
+assemble, is_two_sided and classify, whose verdicts must agree with the
+full scan and whose errors must name the first triple it finds. On every
 table the two law kernels, the associativity scan on byte strings and the
 compatibility scan with operator.itemgetter, must also name the same first
 triple as the list comprehension loops they replaced, kept in
@@ -31,9 +31,9 @@ from sbk.braces import (
     SkewBrace,
     _law_failure,
     assemble,
+    classify,
     is_two_sided,
     make_skew_brace,
-    swap,
 )
 from sbk.enumeration import all_skew_braces, groups_of_order
 from sbk.errors import LeftDistributivityFails, NoIdentity, NotAssociative, NotLatinSquare
@@ -318,14 +318,15 @@ def _groups_among(tables, make) -> list:
 
 
 def _check_law(B: SkewBrace, others: list[SkewBrace], rng: random.Random) -> tuple[int, int]:
-    """Check assemble, is_two_sided and swap against left_compatible on
-    group tables beside B's other table: B's own, relabeled or not, those
-    of the other braces of its order, relabeled, and the corruptions that
-    stay groups. make_skew_brace must reject the other corruptions. Returns
-    how many pairs failed the law, and how many of them were pairs of
-    groups that assemble or swap rejected. Corruptions and relabelings keep row
-    and column 0, so 0 stays a two-sided identity of every table and
-    left_compatible, which skips a = 0, is the full law."""
+    """Check assemble, is_two_sided and the bi-skew flag against
+    left_compatible on group tables beside B's other table: B's own,
+    relabeled or not, those of the other braces of its order, relabeled,
+    and the corruptions that stay groups. make_skew_brace must reject the
+    other corruptions. Returns how many pairs failed the law, and how many
+    of them were pairs of groups that assemble or the bi-skew flag
+    rejected. Corruptions and relabelings keep row and column 0, so 0
+    stays a two-sided identity of every table and left_compatible, which
+    skips a = 0, is the full law."""
     n = B.n
     add, mul = B.add.table, B.mul.table
     sigma = [0, *rng.sample(range(1, n), n - 1)]
@@ -347,7 +348,7 @@ def _check_law(B: SkewBrace, others: list[SkewBrace], rng: random.Random) -> tup
             rejected += 1
         pair = SkewBrace(n=n, add=B.add, mul=G, lam=())
         assert is_two_sided(pair) == oracles.left_compatible(add, _transpose(table))
-    # swap decides the law for (mul, table): vary the table playing *
+    # the bi-skew flag decides the law for (mul, table): vary the table playing *
     adds = [add, oracles.relabel(add, sigma), *_relabeled_sides(others, "add", rng)]
     corrupted = _corruptions(rng, add, 1)
     for table in adds + corrupted:
@@ -355,9 +356,9 @@ def _check_law(B: SkewBrace, others: list[SkewBrace], rng: random.Random) -> tup
         failed += not oracles.left_compatible(mul, table)
     for table in adds + _groups_among(corrupted, lambda t: (t, mul)):
         pair = SkewBrace(n=n, add=make_group(table), mul=B.mul, lam=())
-        swapped = swap(pair)
-        assert (swapped is not None) == oracles.left_compatible(mul, table)
-        rejected += swapped is None
+        bi_skew = classify(pair).bi_skew
+        assert bi_skew == oracles.left_compatible(mul, table)
+        rejected += not bi_skew
     return failed, rejected
 
 

@@ -9,14 +9,8 @@ from sbk.braces import BraceFlags, SkewBrace, classify
 from sbk.cauchy import cauchy_report, survey_order
 from sbk.cli import main
 from sbk.enumeration import all_skew_braces
-from sbk.groups import (
-    FiniteGroup,
-    characteristic_subgroups,
-    cyclic_group,
-    dihedral_group,
-    group_properties,
-)
-from sbk.substructure import brace_centers, ideals, quotient, subbraces
+from sbk.groups import FiniteGroup, cyclic_group, dihedral_group
+from sbk.substructure import brace_centers, ideals, quotient
 from sbk.ybe import check_solution, to_solution
 
 
@@ -27,18 +21,14 @@ def _brace():
 
 def _records():
     B = _brace()
-    G = B.add
     report = cauchy_report(B)
     solution = to_solution(B)
     return [
-        group_properties(G),
-        characteristic_subgroups(G),
         classify(B),
         report.entries[0],
         report,
         survey_order(3)[0],
         all_skew_braces(6),
-        subbraces(B)[0],
         brace_centers(B),
         quotient(B, ideals(B)[0]),
         solution,
@@ -48,7 +38,7 @@ def _records():
 
 def test_every_record_is_a_distinct_named_tuple():
     records = _records()
-    assert len({type(r) for r in records}) == 12
+    assert len({type(r) for r in records}) == 9
     for r in records:
         assert isinstance(r, tuple)
         assert r == tuple(r) == tuple(getattr(r, f) for f in r._fields)

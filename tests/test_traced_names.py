@@ -1,0 +1,52 @@
+"""Every function the benchmark's layer tracer wraps is still in sbk.
+
+perfbench/layertrace.py replaces each (module, name) of its LAYERS by a
+wrapper that counts calls and times them, and it leaves out the metrics
+of a name it cannot find: a deleted or renamed traced function would
+thin out the per-layer report of every traced run without an error. The
+tracer is read here from its file; nothing is written beside it.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from sbk import enumeration, serialize
+from sbk.braces import from_group
+from sbk.groups import automorphism_group
+
+LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+
+
+def _layertrace():
+    """perfbench/layertrace.py as a module, compiled from its text so that
+    no bytecode file is written."""
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    module = importlib.util.module_from_spec(spec)
+    exec(compile(LAYERTRACE.read_text(encoding="utf-8"), str(LAYERTRACE), "exec"), vars(module))
+    return module
+
+
+def test_every_traced_name_is_callable():
+    layers = _layertrace().LAYERS
+    missing = [
+        f"{module}.{name}"
+        for module, names in layers.values()
+        for name in names
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == []
+
+
+def test_the_measured_results_have_the_traced_shapes():
+    """The tracer counts len() of what _regular_assignments and
+    _orbit_representatives return, and the UTF-8 bytes of what
+    canonical_dumps returns."""
+    for G in enumeration.groups_of_order(4):
+        auts = automorphism_group(G)
+        found = enumeration._regular_assignments(G, auts)
+        kept = enumeration._orbit_representatives(found, auts)
+        assert isinstance(found, list) and isinstance(kept, list)
+        assert 0 < len(kept) <= len(found)
+        text = serialize.canonical_dumps(serialize.brace_to_obj(from_group(G, "trivial")))
+        assert isinstance(text, str) and text.encode("utf-8")
