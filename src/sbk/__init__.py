@@ -34,7 +34,6 @@ from .enumeration import (
 from .groups import (
     FiniteGroup,
     automorphism_group,
-    centralizer,
     element_order,
     make_group,
     subgroups,
@@ -74,7 +73,6 @@ __all__ = [
     "brace_centers",
     "brace_square",
     "cauchy_report",
-    "centralizer",
     "check_solution",
     "classify",
     "element_order",

@@ -55,10 +55,11 @@ from typing import Literal, NamedTuple, Optional, Sequence
 from .errors import IdentityMismatch, LeftDistributivityFails
 from .groups import (
     FiniteGroup,
+    Flat,
     Perm,
     _Frozen,
+    _flat_table,
     _group,
-    _square_rows,
     find_identity,
     make_group,
 )
@@ -208,27 +209,25 @@ def make_skew_brace(
     triples in the labels of the tables as given."""
     if len(add_table) != len(mul_table):
         raise ValueError("additive and multiplicative tables differ in size")
-    add_rows = _square_rows(add_table, "add")
-    mul_rows = _square_rows(mul_table, "mul")
-    return _skew_brace_of_rows(add_rows, mul_rows, add_name, mul_name)
+    add_flat = _flat_table(add_table, "add")
+    mul_flat = _flat_table(mul_table, "mul")
+    return _skew_brace_of_flat(add_flat, mul_flat, add_name, mul_name)
 
 
-def _skew_brace_of_rows(
-    add_rows: Sequence[Sequence[int]],
-    mul_rows: Sequence[Sequence[int]],
-    add_name: str = "",
-    mul_name: str = "",
+def _skew_brace_of_flat(
+    add_flat: Flat, mul_flat: Flat, add_name: str = "", mul_name: str = ""
 ) -> SkewBrace:
-    """make_skew_brace on two tables of one size that have already passed
-    through _square_rows. Each table's identity is found once here."""
-    e_add = find_identity(add_rows)
-    e_mul = find_identity(mul_rows)
+    """make_skew_brace on two tables of one size that _flat_table has
+    already checked and flattened. Each table's identity is found once
+    here."""
+    e_add = find_identity(add_flat)
+    e_mul = find_identity(mul_flat)
     if e_add is not None and e_mul is not None and e_add != e_mul:
         raise IdentityMismatch(e_add, e_mul)
     # make_group reports in the given labels, then moves the identity to 0
     # by the transposition (0 e_add); both tables share that relabeling.
-    add = make_group(add_rows, name=add_name, identity=e_add)
-    mul = make_group(mul_rows, name=mul_name, identity=e_mul)
+    add = make_group(add_flat, name=add_name, identity=e_add)
+    mul = make_group(mul_flat, name=mul_name, identity=e_mul)
     try:
         return assemble(add, mul)
     except LeftDistributivityFails as exc:

@@ -15,10 +15,7 @@ e, and it is closed under products: for g, h in N,
 So a table with identity e is associative as soon as every k in a set S
 is in N, provided the closure of {e} under right products by S is the
 whole table. _spanning picks such an S, of at most log2(n) elements for a
-group, and make_group scans k over S: O(n^2 |S|) work in place of n^3.
-The scan runs on the table flattened to one byte string, which the order
-cap keeps possible: for each i and each k in S, both sides over every j
-are one bytes.translate each.
+group, and make_group tests k over S: O(n^2 |S|) work in place of n^3.
 The same argument decides normality: the g with gHg^-1 in H are closed
 under products, so is_normal tests only the group's generators. So does
 center: the centralizer of g is a subgroup, so g is central once it
@@ -29,6 +26,19 @@ lambda_a lambda_b and on generators of a subgroup through the
 additivity of each lambda_a: lambda invariance, the carrier filter of
 the subbrace lattice, the star square and the compatibility law
 (substructure.py and braces.py give the proofs).
+
+_flat_table flattens each table to one byte string, row by row, while it
+checks the entries, which the order cap keeps possible, and every later
+test reads that string. make_group first moves the identity e to 0 by
+the transposition s = (0 e): cell (i, j) becomes s(s(i)s(j)), so one
+bytes.translate applies s to every entry and two slice swaps exchange
+rows 0 and e and columns 0 and e. A relabeled table is associative
+exactly when the table is. Light's test is then O(1) byte operations per
+k. Let cols[c] = flat[c::n], column c, and T the columns joined, so
+T[jn + i] = ij. T translated by column k holds (ij)k at jn + i, and the
+columns joined in the order column k names them, cols[jk] for j =
+0..n-1, hold i(jk) at jn + i; k is in N exactly when the two strings
+are equal.
 
 No Latin square test is needed beside it. In an associative table with
 identity e in which every row holds e, every x has a right inverse y,
@@ -48,10 +58,11 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from math import isqrt
 from operator import eq, itemgetter
 from typing import Iterable, NoReturn, Optional, Sequence
 
-from .bitset import ElementSet, contains, full_mask, mask_of, members, size
+from .bitset import ElementSet, contains, full_mask, members, size
 from .errors import (
     BadInput,
     GroupTooLarge,
@@ -62,6 +73,8 @@ from .errors import (
 )
 
 Perm = tuple[int, ...]
+# a square table's entries row by row, as _flat_table returns them
+Flat = bytes | tuple[int, ...]
 # each subgroup's mask -> (elements generating it, its members ascending)
 Lattice = dict[ElementSet, tuple[list[int], list[int]]]
 
@@ -125,103 +138,143 @@ class FiniteGroup(_Frozen):
         return f"FiniteGroup({label})"
 
 
-def find_identity(table: Sequence[Sequence[int]]) -> Optional[int]:
-    """The first two-sided identity of a square table, or None.
-
-    Each candidate is a row equal to 0..n-1, found by list.index over the
-    rows as tuples; its column is then compared once."""
-    ident = tuple(range(len(table)))
-    rows = list(map(tuple, table))
-    e = -1
-    while True:
-        try:
-            e = rows.index(ident, e + 1)
-        except ValueError:
-            return None
-        if tuple(map(itemgetter(e), table)) == ident:
+def find_identity(flat: Flat) -> Optional[int]:
+    """The first two-sided identity of a table flattened by _flat_table, or
+    None: the first e whose row and column both read 0..n-1."""
+    n = isqrt(len(flat))
+    ident = type(flat)(range(n))
+    for e in range(n):
+        if flat[e * n : e * n + n] == ident and flat[e::n] == ident:
             return e
+    return None
 
 
 def make_group(
-    table: Sequence[Sequence[int]], name: str = "", *, identity: Optional[int] = None
+    table: Sequence[Sequence[int]] | Flat, name: str = "", *, identity: Optional[int] = -1
 ) -> FiniteGroup:
     """Validate a Cayley table and return the group, identity moved to 0.
 
     Raises BadInput when the table is not square with entries 0..n-1, then
     NoIdentity, NotLatinSquare or NotAssociative naming the first
     violation; a table passing all of them is a group. A caller that has
-    already passed the table through _square_rows and found its identity
-    with find_identity gives that identity, and neither is done again.
+    already flattened the table with _flat_table and looked for its
+    identity with find_identity gives the flat table and what
+    find_identity returned, an index or None, and neither is done again;
+    the default -1 stands for a table not yet checked.
 
     Light's test runs on the table already relabeled, with the greedy
     span that is then the group's gens, so _spanning runs once per table.
     A table that fails is scanned as given, so every error names the
     cells, elements and triples of the caller's labels.
     """
-    rows = table
-    if identity is None:
-        rows = _square_rows(table, "table")
-        identity = find_identity(rows)
-    n = len(rows)
+    flat = table
+    if identity == -1:
+        flat = _flat_table(table, "table")
+        identity = find_identity(flat)
+    n = isqrt(len(flat))
     if n == 0:
         raise ValueError("empty table")
     if n > MAX_GROUP_ORDER:
         raise GroupTooLarge(n, MAX_GROUP_ORDER)
     if identity is None:
         raise NoIdentity()
-    if not all(identity in row for row in rows):
-        _raise_first_violation(rows)
-    relabeled = rows
-    if identity:
-        # relabel by the transposition (0 identity); a relabeled table is
-        # associative exactly when the table is
-        sigma = list(range(n))
-        sigma[0], sigma[identity] = identity, 0
-        moved = [rows[s] for s in sigma]
-        relabeled = [tuple([sigma[row[t]] for t in sigma]) for row in moved]
+    # a relabeled table is associative exactly when the table is, and it
+    # holds 0 in every row exactly when the table holds the identity there
+    moved = _moved_to_zero(flat, identity) if identity else flat
+    rows = [moved[i : i + n] for i in range(0, n * n, n)]
     # the greedy span of the table the group keeps is its gens
-    span = _spanning(relabeled)
-    if _associativity_failure(relabeled, span) is not None:
-        _raise_first_violation(rows)  # in the labels as given
-    return _group(relabeled, name, gens=span)
+    span = _spanning(rows)
+    if not (all(0 in row for row in rows) and _associative_at(moved, span)):
+        _raise_first_violation(flat)  # in the labels as given
+    return _group(rows, name, gens=span)
 
 
-def _square_rows(table: Sequence[Sequence[int]], key: str) -> list[tuple[int, ...]]:
-    """The rows of a square table of indices, as tuples: each row a list or
-    tuple of len(table) entries, each an int (not a bool) in 0..n-1.
+def _flat_table(table: Sequence[Sequence[int]], key: str) -> Flat:
+    """The entries of a square table of indices, row by row, in one flat
+    sequence: each row a list or tuple of len(table) entries, each an int
+    (not a bool) in 0..n-1. The sequence is a byte string, which every
+    later test reads; only a table past MAX_GROUP_ORDER, which
+    find_identity alone reads before make_group refuses it, is a tuple, as
+    its entries need not fit in a byte.
 
-    A few whole-table tests decide it. Only when they fail is the table
-    scanned row by row, to raise BadInput on the first bad row or entry,
-    calling the table key.
+    A few whole-table tests decide it: the row types and lengths, the
+    count of entries of type int exactly (bytes() would take a bool), then
+    bytes() of the entries, with nothing left once 0..n-1 is deleted from
+    it. Only when they fail is the table scanned row by row, to raise
+    BadInput on the first bad row or entry, calling the table key.
     """
     n = len(table)
-    entries = itertools.chain.from_iterable
-    if not (
-        all(type(row) in (list, tuple) and len(row) == n for row in table)
-        and list(map(type, entries(table))).count(int) == n * n
-        and set(range(n)).issuperset(entries(table))
-    ):
-        for i, row in enumerate(table):
-            if type(row) not in (list, tuple) or len(row) != n:
-                raise BadInput(f"row {i} of {key!r} must have length {n}")
-            for x in row:
-                if type(x) is not int or not 0 <= x < n:
-                    raise BadInput(f"entry {x!r} in row {i} of {key!r} out of range")
-    return [tuple(row) for row in table]
+    if all(type(row) in (list, tuple) and len(row) == n for row in table):
+        cells = list(itertools.chain.from_iterable(table))
+        if list(map(type, cells)).count(int) == n * n:
+            if n > MAX_GROUP_ORDER:
+                if set(range(n)).issuperset(cells):
+                    return tuple(cells)
+            else:
+                try:
+                    flat = bytes(cells)
+                except ValueError:  # an entry below 0 or above 255
+                    pass
+                else:
+                    if not flat.translate(None, bytes(range(n))):
+                        return flat
+    for i, row in enumerate(table):
+        if type(row) not in (list, tuple) or len(row) != n:
+            raise BadInput(f"row {i} of {key!r} must have length {n}")
+        for x in row:
+            if type(x) is not int or not 0 <= x < n:
+                raise BadInput(f"entry {x!r} in row {i} of {key!r} out of range")
+    raise AssertionError("unreachable: a whole-table test fails only on a bad row or entry")
 
 
-def _raise_first_violation(rows: Sequence[Sequence[int]]) -> NoReturn:
-    """Raise the first failure of the full check on a square table with an
-    identity that is not a group: a row, then a column, that is not a
-    permutation, then the first non-associative triple."""
-    expected = frozenset(range(len(rows)))
+def _moved_to_zero(flat: bytes, e: int) -> bytes:
+    """The flat table relabeled by the transposition s = (0 e), whose cell
+    (i, j) is s(ij) read at (s(i), s(j)): one translate applies s to every
+    entry, then rows 0 and e and columns 0 and e trade places, each pair
+    by one slice assignment."""
+    n = isqrt(len(flat))
+    swap = bytearray(range(256))
+    swap[0], swap[e] = e, 0
+    t = bytearray(flat.translate(swap))
+    t[:n], t[e * n : e * n + n] = t[e * n : e * n + n], t[:n]
+    t[::n], t[e::n] = t[e::n], t[::n]
+    return bytes(t)
+
+
+def _associative_at(flat: bytes, ks: Iterable[int]) -> bool:
+    """Whether (ij)k = i(jk) for every i, j and every k in ks, on a flat
+    table of at most 256 rows, in O(1) whole-table byte operations per k.
+
+    With cols[c] = flat[c::n], column c, and T the columns joined, T[jn +
+    i] = ij. Then T translated by column k (padded with zeros to the 256
+    bytes translate takes) holds (ij)k at jn + i, and the columns joined
+    in the order column k reads them, cols[jk] for j = 0..n-1, hold i(jk)
+    at the same place; k passes exactly when the two strings are equal.
+    """
+    n = isqrt(len(flat))
+    pad = bytes(256 - n)
+    cols = [flat[c::n] for c in range(n)]
+    by_columns = b"".join(cols)
+    return all(
+        by_columns.translate(cols[k] + pad) == b"".join(map(cols.__getitem__, cols[k]))
+        for k in ks
+    )
+
+
+def _raise_first_violation(flat: bytes) -> NoReturn:
+    """Raise the first failure of the full check on a flat square table
+    with an identity that is not a group: a row, then a column, that is not
+    a permutation, then the first non-associative triple."""
+    n = isqrt(len(flat))
+    rows = [flat[i : i + n] for i in range(0, n * n, n)]
+    expected = frozenset(range(n))
     for i, row in enumerate(rows):
         if frozenset(row) != expected:
             raise NotLatinSquare("row", i)
-    for j, col in enumerate(zip(*rows)):
-        if frozenset(col) != expected:
+    for j in range(n):
+        if frozenset(flat[j::n]) != expected:
             raise NotLatinSquare("column", j)
-    raise NotAssociative(*_associativity_failure(rows, range(len(rows))))
+    raise NotAssociative(*_associativity_failure(rows, range(n)))
 
 
 def _spanning(
@@ -267,9 +320,9 @@ def _associativity_failure(
     bytes.translate over all j: (ij)k is row i looked up in column k, and
     i(jk) is column k looked up in row i, each lookup table padded with
     zeros to the 256 bytes translate takes. So n must be at most 256, and
-    it is: the function is called from make_group alone, directly or
-    through _raise_first_violation, after make_group has raised
-    GroupTooLarge for n over MAX_GROUP_ORDER = 64.
+    it is: the function is called from make_group alone, through
+    _raise_first_violation once a test has failed, after make_group has
+    raised GroupTooLarge for n over MAX_GROUP_ORDER = 64.
     """
     n = len(rows)
     flat = b"".join(map(bytes, rows))
@@ -480,11 +533,6 @@ def sylow_p(G: FiniteGroup, p: int) -> list[ElementSet]:
     while G.n % (q * p) == 0:
         q *= p
     return [m for m in subgroups(G) if size(m) == q]
-
-
-def centralizer(G: FiniteGroup, x: int) -> ElementSet:
-    table = G.table
-    return mask_of(g for g in G.elements() if table[g][x] == table[x][g])
 
 
 def center(G: FiniteGroup) -> ElementSet:

@@ -33,10 +33,10 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .bitset import members
-from .braces import SkewBrace, _skew_brace_of_rows
+from .braces import SkewBrace, _skew_brace_of_flat
 from .cauchy import CauchyReport, SurveyRow
 from .errors import BadInput
-from .groups import _square_rows
+from .groups import _flat_table
 from .ybe import YBEMap
 
 
@@ -131,12 +131,13 @@ def _require_order(obj: Any) -> int:
 
 def brace_from_obj(obj: Any) -> SkewBrace:
     """The brace of a JSON object. Each table is checked once: its field
-    here, then its rows and entries by _square_rows, the additive table
-    in full before the multiplicative one."""
+    here, then its rows and entries by _flat_table, which flattens it to
+    the byte string every later test reads, the additive table in full
+    before the multiplicative one."""
     n = _require_order(obj)
-    add = _square_rows(_require_field(obj, "add", n), "add")
-    mul = _square_rows(_require_field(obj, "mul", n), "mul")
-    return _skew_brace_of_rows(add, mul)
+    add = _flat_table(_require_field(obj, "add", n), "add")
+    mul = _flat_table(_require_field(obj, "mul", n), "mul")
+    return _skew_brace_of_flat(add, mul)
 
 
 def brace_to_obj(B: SkewBrace) -> dict[str, Any]:

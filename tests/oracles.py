@@ -273,6 +273,11 @@ def subgroups_bruteforce(table, inv) -> list[int]:
     return sorted(out)
 
 
+def centralizer(table, x: int) -> int:
+    """The bitmask of the g with gx = xg."""
+    return sum(1 << g for g in range(len(table)) if table[g][x] == table[x][g])
+
+
 def generated_subgroup_bruteforce(table, gens) -> int:
     """Mask of the smallest subset holding 0 and gens that is closed under
     all products, grown by whole passes over pairs."""

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import random
@@ -298,6 +299,11 @@ def test_reader_matches_argparse(tmp_path, capsys, monkeypatch):
 
     commands = {name: spec._replace(handler=recorder(name)) for name, spec in cli.COMMANDS.items()}
     monkeypatch.setattr(cli, "COMMANDS", commands)
+    # main builds the parser of every command for each line _read does not
+    # take; parse_args keeps nothing from one line to the next, so the one
+    # that cli.build_parser builds on the first such line reads them all
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", functools.cache(build_parser))
     lines = _lines(str(tmp_path / "brace.json"))
 
     def readings():
@@ -307,7 +313,7 @@ def test_reader_matches_argparse(tmp_path, capsys, monkeypatch):
         return out
 
     ours = readings()
-    tree = cli.build_parser()
+    tree = build_parser()
     monkeypatch.setattr(cli, "_parse", lambda argv: oracles.full_tree_parse(argv, tree))
     theirs = readings()
     for argv, got, want in zip(lines, ours, theirs):

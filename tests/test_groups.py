@@ -1,11 +1,11 @@
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
 from sbk import groups
 from sbk.bitset import full_mask, mask_of, members, size
-from sbk.enumeration import all_skew_braces
+from sbk.enumeration import all_skew_braces, groups_of_order
 from sbk.braces import from_group, make_skew_brace
 from sbk.errors import (
     BadInput,
@@ -21,7 +21,6 @@ from sbk.groups import (
     alternating_group_4,
     automorphism_group,
     center,
-    centralizer,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
@@ -39,7 +38,12 @@ from sbk.serialize import brace_to_obj, canonical_dumps, load_brace
 from sbk.substructure import brace_centers, is_soluble_brace, quotient
 
 import oracles
-from test_golden import _catalog_through, _large_brace_files, _large_braces
+from test_golden import (
+    _catalog_through,
+    _large_brace_files,
+    _large_braces,
+    _order_64_analyze_braces,
+)
 
 
 def test_make_group_z2():
@@ -105,7 +109,7 @@ def test_find_identity_matches_the_definition():
                 if planted is not None or kind != "random":
                     assert e == planted, (n, kind)
                 for rows in ([list(r) for r in table], [tuple(r) for r in table]):
-                    assert groups.find_identity(rows) == e, (n, kind)
+                    assert groups.find_identity(groups._flat_table(rows, "t")) == e, (n, kind)
                 if e is None:
                     with pytest.raises(NoIdentity):
                         make_group(table)
@@ -416,18 +420,18 @@ def test_sylow_count_congruence(n):
 
 def test_centralizer_abelian_is_everything():
     G = cyclic_group(6)
-    assert centralizer(G, 4) == full_mask(6)
+    assert oracles.centralizer(G.table, 4) == full_mask(6)
 
 
 def test_centralizer_of_identity():
     G = dihedral_group(8)
-    assert centralizer(G, 0) == full_mask(8)
+    assert oracles.centralizer(G.table, 0) == full_mask(8)
 
 
 def test_centralizer_of_transposition():
     G = dihedral_group(6)
     t = next(x for x in range(6) if element_order(G, x) == 2)
-    assert members(centralizer(G, t)) == [0, t]
+    assert members(oracles.centralizer(G.table, t)) == [0, t]
 
 
 def _derived(G):
@@ -650,6 +654,26 @@ def test_is_isomorphic_z6_z2xz3():
             assert f[G.table[a][b]] == H.table[f[a]][f[b]]
 
 
+def test_byte_relabel_is_the_transposition_relabel():
+    """_moved_to_zero(flat, e) is the table relabeled by the transposition
+    (0 e), for every e, on every catalog group through order 15 and both
+    tables of the order-64 products; it moves an identity at e to 0."""
+    tables = [G.table for n in range(1, 16) for G in groups_of_order(n)]
+    for _, B in _order_64_analyze_braces():
+        if B.n == 64:
+            tables += [B.add.table, B.mul.table]
+    assert len(tables) == 28 + 8
+    for table in tables:
+        n = len(table)
+        flat = groups._flat_table(table, "table")
+        for e in range(n):
+            sigma = list(range(n))
+            sigma[0], sigma[e] = e, 0
+            moved = oracles.relabel(table, sigma)
+            assert groups._moved_to_zero(flat, e) == bytes(chain(*moved)), (n, e)
+            assert groups._moved_to_zero(groups._flat_table(moved, "table"), e) == flat
+
+
 def test_a_load_spans_each_table_once(tmp_path, monkeypatch):
     # with the identity off 0, Light's test runs on the relabeled table
     # with the span that becomes the group's gens
@@ -672,7 +696,7 @@ def test_a_load_spans_each_table_once(tmp_path, monkeypatch):
     loaded = load_brace(str(path))
     tables = [loaded.add.table, loaded.mul.table]
     assert [loaded.add.gens, loaded.mul.gens] == [_spanning(t) for t in tables]
-    assert [tuple(t) for t in spans] == tables
+    assert [tuple(map(tuple, t)) for t in spans] == tables
 
 
 def test_loaded_groups_keep_the_span_of_their_table(tmp_path):

@@ -8,8 +8,8 @@ from sbk import cauchy, cli, serialize
 from sbk.braces import classify, from_group
 from sbk.cauchy import cauchy_report
 from sbk.enumeration import all_skew_braces, are_isomorphic_braces, groups_of_order
-from sbk.errors import BadInput, IdentityMismatch
-from sbk.groups import cyclic_group
+from sbk.errors import BadInput, IdentityMismatch, SkewBraceKitError
+from sbk.groups import cyclic_group, make_group
 from sbk.serialize import (
     brace_from_obj,
     brace_to_obj,
@@ -300,3 +300,119 @@ def test_writer_matches_json_on_random_nested_objects():
     for _ in range(500):
         obj = _random_value(rng)
         assert canonical_dumps(obj) == _reference(obj)
+
+
+def _cyclic_rows(n: int) -> list[list[int]]:
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def _with_entry(table, row: int, col: int, value) -> list:
+    table = [list(r) for r in table]
+    table[row][col] = value
+    return table
+
+
+def _entry_check_cases():
+    """(name, add, mul): tables that the entry check refuses, one fault
+    each, and tables past the order cap with and without a bad entry."""
+    c4, c65, c300 = _cyclic_rows(4), _cyclic_rows(65), _cyclic_rows(300)
+    moved = oracles.relabel(c300, [1, 0, *range(2, 300)])  # identity at 1
+    yield "true", _with_entry(c4, 1, 2, True), c4
+    yield "false", c4, _with_entry(c4, 3, 0, False)
+    yield "float", _with_entry(c4, 2, 1, 3.0), c4
+    yield "negative", c4, _with_entry(c4, 0, 3, -1)
+    yield "entry_n", _with_entry(c4, 3, 3, 4), c4
+    yield "entry_256", c4, _with_entry(c4, 1, 0, 256)
+    yield "short_row", [c4[0], c4[1], c4[2][:3], c4[3]], c4
+    yield "order_65_bad_entry", _with_entry(c65, 64, 64, 65), c65
+    yield "order_65", c65, c65
+    yield "order_300_bad_entry", c300, _with_entry(c300, 299, 0, 300)
+    yield "order_300", c300, c300
+    yield "order_300_identities", c300, [list(r) for r in moved]
+
+
+# The error line of `verify --json` on each file, then the error make_group
+# raises on each table, None for a group: the entry check names the same
+# first fault, byte for byte, however it tests the entries.
+ENTRY_CHECK_ERRORS = {
+    "true": (
+        "error: entry True in row 1 of 'add' out of range\n",
+        "BadInput: entry True in row 1 of 'table' out of range",
+        None,
+    ),
+    "false": (
+        "error: entry False in row 3 of 'mul' out of range\n",
+        None,
+        "BadInput: entry False in row 3 of 'table' out of range",
+    ),
+    "float": (
+        "error: entry 3.0 in row 2 of 'add' out of range\n",
+        "BadInput: entry 3.0 in row 2 of 'table' out of range",
+        None,
+    ),
+    "negative": (
+        "error: entry -1 in row 0 of 'mul' out of range\n",
+        None,
+        "BadInput: entry -1 in row 0 of 'table' out of range",
+    ),
+    "entry_n": (
+        "error: entry 4 in row 3 of 'add' out of range\n",
+        "BadInput: entry 4 in row 3 of 'table' out of range",
+        None,
+    ),
+    "entry_256": (
+        "error: entry 256 in row 1 of 'mul' out of range\n",
+        None,
+        "BadInput: entry 256 in row 1 of 'table' out of range",
+    ),
+    "short_row": (
+        "error: row 2 of 'add' must have length 4\n",
+        "BadInput: row 2 of 'table' must have length 4",
+        None,
+    ),
+    "order_65_bad_entry": (
+        "error: entry 65 in row 64 of 'add' out of range\n",
+        "BadInput: entry 65 in row 64 of 'table' out of range",
+        "GroupTooLarge: group order 65 exceeds the supported cap 64",
+    ),
+    "order_65": (
+        "error: group order 65 exceeds the supported cap 64\n",
+        "GroupTooLarge: group order 65 exceeds the supported cap 64",
+        "GroupTooLarge: group order 65 exceeds the supported cap 64",
+    ),
+    "order_300_bad_entry": (
+        "error: entry 300 in row 299 of 'mul' out of range\n",
+        "GroupTooLarge: group order 300 exceeds the supported cap 64",
+        "BadInput: entry 300 in row 299 of 'table' out of range",
+    ),
+    "order_300": (
+        "error: group order 300 exceeds the supported cap 64\n",
+        "GroupTooLarge: group order 300 exceeds the supported cap 64",
+        "GroupTooLarge: group order 300 exceeds the supported cap 64",
+    ),
+    "order_300_identities": (
+        "error: additive identity 0 differs from multiplicative identity 1\n",
+        "GroupTooLarge: group order 300 exceeds the supported cap 64",
+        "GroupTooLarge: group order 300 exceeds the supported cap 64",
+    ),
+}
+
+
+def _make_group_error(table):
+    try:
+        make_group(table)
+    except SkewBraceKitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def test_entry_check_errors_are_pinned(tmp_path, capsys):
+    got = {}
+    for name, add, mul in _entry_check_cases():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"order": len(add), "add": add, "mul": mul}), encoding="utf-8")
+        code = cli.main(["verify", str(path), "--json"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        got[name] = (err, _make_group_error(add), _make_group_error(mul))
+    assert got == ENTRY_CHECK_ERRORS
