@@ -60,8 +60,8 @@ from .groups import (
     _Frozen,
     _flat_table,
     _group,
+    _group_of_flat,
     find_identity,
-    make_group,
 )
 
 
@@ -224,10 +224,10 @@ def _skew_brace_of_flat(
     e_mul = find_identity(mul_flat)
     if e_add is not None and e_mul is not None and e_add != e_mul:
         raise IdentityMismatch(e_add, e_mul)
-    # make_group reports in the given labels, then moves the identity to 0
-    # by the transposition (0 e_add); both tables share that relabeling.
-    add = make_group(add_flat, name=add_name, identity=e_add)
-    mul = make_group(mul_flat, name=mul_name, identity=e_mul)
+    # _group_of_flat reports in the given labels, then moves the identity
+    # to 0 by the transposition (0 e_add); both tables share that relabeling.
+    add = _group_of_flat(add_flat, e_add, add_name)
+    mul = _group_of_flat(mul_flat, e_mul, mul_name)
     try:
         return assemble(add, mul)
     except LeftDistributivityFails as exc:

@@ -7,15 +7,17 @@ word as bitmasks.
 
 Associativity is decided on a generating set, by Light's test (Clifford
 and Preston, The Algebraic Theory of Semigroups I, 1961, Sec. 1.2). Let N
-be the set of k with (ij)k = i(jk) for all i, j. N contains the identity
+be the set of i with (ij)k = i(jk) for all j, k. N contains the identity
 e, and it is closed under products: for g, h in N,
 
-    (ij)(gh) = ((ij)g)h = (i(jg))h = i((jg)h) = i(j(gh)).
+    ((gh)j)k = (g(hj))k = g((hj)k) = g(h(jk)) = (gh)(jk).
 
-So a table with identity e is associative as soon as every k in a set S
+So a table with identity e is associative as soon as every i in a set S
 is in N, provided the closure of {e} under right products by S is the
-whole table. _spanning picks such an S, of at most log2(n) elements for a
-group, and make_group tests k over S: O(n^2 |S|) work in place of n^3.
+whole table, as every element of that closure is then a product of
+elements of N. _spanning picks such an S, of at most log2(n) elements
+for a group, and make_group tests i over S: O(n^2 |S|) work in place of
+n^3.
 The same argument decides normality: the g with gHg^-1 in H are closed
 under products, so is_normal tests only the group's generators. So does
 center: the centralizer of g is a subgroup, so g is central once it
@@ -34,11 +36,12 @@ the transposition s = (0 e): cell (i, j) becomes s(s(i)s(j)), so one
 bytes.translate applies s to every entry and two slice swaps exchange
 rows 0 and e and columns 0 and e. A relabeled table is associative
 exactly when the table is. Light's test is then O(1) byte operations per
-k. Let cols[c] = flat[c::n], column c, and T the columns joined, so
-T[jn + i] = ij. T translated by column k holds (ij)k at jn + i, and the
-columns joined in the order column k names them, cols[jk] for j =
-0..n-1, hold i(jk) at jn + i; k is in N exactly when the two strings
-are equal.
+i. Row i names, for each j, the row of ij, so the rows joined in the
+order row i names them hold (ij)k at jn + k, and the table translated by
+row i holds i(jk) there; i is in N exactly when the two strings are
+equal, and else the first byte where they differ names the least
+failing (j, k). One such pass per i, in order, names the first failing
+triple of a table that is not associative.
 
 No Latin square test is needed beside it. In an associative table with
 identity e in which every row holds e, every x has a right inverse y,
@@ -50,7 +53,7 @@ so yx = yz = e: y is a two-sided inverse and the table is a group, whose
 rows and columns are permutations. make_group decides the axioms on
 these three tests: an identity, e in every row, and Light's test. Only a
 table that fails one is scanned in full (Latin rows, Latin columns, then
-associativity over every k) to name the same first violation as a full
+associativity over every i) to name the same first violation as a full
 check would.
 """
 
@@ -149,28 +152,27 @@ def find_identity(flat: Flat) -> Optional[int]:
     return None
 
 
-def make_group(
-    table: Sequence[Sequence[int]] | Flat, name: str = "", *, identity: Optional[int] = -1
-) -> FiniteGroup:
+def make_group(table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
     """Validate a Cayley table and return the group, identity moved to 0.
 
     Raises BadInput when the table is not square with entries 0..n-1, then
     NoIdentity, NotLatinSquare or NotAssociative naming the first
-    violation; a table passing all of them is a group. A caller that has
-    already flattened the table with _flat_table and looked for its
-    identity with find_identity gives the flat table and what
-    find_identity returned, an index or None, and neither is done again;
-    the default -1 stands for a table not yet checked.
+    violation; a table passing all of them is a group.
+    """
+    flat = _flat_table(table, "table")
+    return _group_of_flat(flat, find_identity(flat), name)
+
+
+def _group_of_flat(flat: Flat, identity: Optional[int], name: str = "") -> FiniteGroup:
+    """make_group on a table that _flat_table has already checked and
+    flattened, whose identity find_identity returned: an index, or None
+    when the table has none.
 
     Light's test runs on the table already relabeled, with the greedy
     span that is then the group's gens, so _spanning runs once per table.
     A table that fails is scanned as given, so every error names the
     cells, elements and triples of the caller's labels.
     """
-    flat = table
-    if identity == -1:
-        flat = _flat_table(table, "table")
-        identity = find_identity(flat)
     n = isqrt(len(flat))
     if n == 0:
         raise ValueError("empty table")
@@ -184,7 +186,7 @@ def make_group(
     rows = [moved[i : i + n] for i in range(0, n * n, n)]
     # the greedy span of the table the group keeps is its gens
     span = _spanning(rows)
-    if not (all(0 in row for row in rows) and _associative_at(moved, span)):
+    if not all(0 in row for row in rows) or _associativity_failure(moved, span) is not None:
         _raise_first_violation(flat)  # in the labels as given
     return _group(rows, name, gens=span)
 
@@ -241,24 +243,29 @@ def _moved_to_zero(flat: bytes, e: int) -> bytes:
     return bytes(t)
 
 
-def _associative_at(flat: bytes, ks: Iterable[int]) -> bool:
-    """Whether (ij)k = i(jk) for every i, j and every k in ks, on a flat
-    table of at most 256 rows, in O(1) whole-table byte operations per k.
+def _associativity_failure(flat: bytes, is_: Iterable[int]) -> Optional[tuple[int, int, int]]:
+    """The first triple (i, j, k) with i in is_ and (ij)k != i(jk), in the
+    order of i in is_, then j, then k, on a flat table of at most 256 rows;
+    None when there is none. O(1) whole-table byte operations decide each i.
 
-    With cols[c] = flat[c::n], column c, and T the columns joined, T[jn +
-    i] = ij. Then T translated by column k (padded with zeros to the 256
-    bytes translate takes) holds (ij)k at jn + i, and the columns joined
-    in the order column k reads them, cols[jk] for j = 0..n-1, hold i(jk)
-    at the same place; k passes exactly when the two strings are equal.
+    Row i names, for each j, the row of ij, so the rows joined in the
+    order row i names them hold (ij)k at jn + k; the table translated by
+    row i (padded with zeros to the 256 bytes translate takes) holds i(jk)
+    there. i passes exactly when the two strings are equal, and else the
+    first byte where they differ is at jn + k for the least (j, k): the
+    top set bit of their xor read as integers, as the first byte is the
+    most significant.
     """
     n = isqrt(len(flat))
     pad = bytes(256 - n)
-    cols = [flat[c::n] for c in range(n)]
-    by_columns = b"".join(cols)
-    return all(
-        by_columns.translate(cols[k] + pad) == b"".join(map(cols.__getitem__, cols[k]))
-        for k in ks
-    )
+    rows = [flat[r : r + n] for r in range(0, n * n, n)]
+    for i in is_:
+        left = b"".join(map(rows.__getitem__, rows[i]))
+        right = flat.translate(rows[i] + pad)
+        if left != right:
+            diff = int.from_bytes(left, "big") ^ int.from_bytes(right, "big")
+            return (i, *divmod(n * n - 1 - (diff.bit_length() - 1) // 8, n))
+    return None
 
 
 def _raise_first_violation(flat: bytes) -> NoReturn:
@@ -266,15 +273,14 @@ def _raise_first_violation(flat: bytes) -> NoReturn:
     with an identity that is not a group: a row, then a column, that is not
     a permutation, then the first non-associative triple."""
     n = isqrt(len(flat))
-    rows = [flat[i : i + n] for i in range(0, n * n, n)]
     expected = frozenset(range(n))
-    for i, row in enumerate(rows):
-        if frozenset(row) != expected:
+    for i in range(n):
+        if frozenset(flat[i * n : i * n + n]) != expected:
             raise NotLatinSquare("row", i)
     for j in range(n):
         if frozenset(flat[j::n]) != expected:
             raise NotLatinSquare("column", j)
-    raise NotAssociative(*_associativity_failure(rows, range(n)))
+    raise NotAssociative(*_associativity_failure(flat, range(n)))
 
 
 def _spanning(
@@ -307,41 +313,6 @@ def _spanning(
                     reached.append(c)
                     frontier.append(c)
     return tuple(steps)
-
-
-def _associativity_failure(
-    rows: Sequence[Sequence[int]], ks: Sequence[int]
-) -> Optional[tuple[int, int, int]]:
-    """The first triple (i, j, k) with k in ks and (ij)k != i(jk), in the
-    order of i, then j, then k; None when there is none.
-
-    The table is flattened once into a byte string, row i read as a slice
-    of it and column k as every n-th byte from k. Each side is then one
-    bytes.translate over all j: (ij)k is row i looked up in column k, and
-    i(jk) is column k looked up in row i, each lookup table padded with
-    zeros to the 256 bytes translate takes. So n must be at most 256, and
-    it is: the function is called from make_group alone, through
-    _raise_first_violation once a test has failed, after make_group has
-    raised GroupTooLarge for n over MAX_GROUP_ORDER = 64.
-    """
-    n = len(rows)
-    flat = b"".join(map(bytes, rows))
-    pad = bytes(256 - n)
-    steps = [(k, col, col + pad) for k in ks for col in (flat[k::n],)]
-    for i in range(n):
-        row = flat[i * n : i * n + n]
-        at_row = row + pad
-        first = None
-        for k, col, at_col in steps:
-            left = row.translate(at_col)  # (ij)k for every j
-            right = col.translate(at_row)  # i(jk) for every j
-            if left != right:
-                j = next(j for j in range(n) if left[j] != right[j])
-                if first is None or (j, k) < first:
-                    first = (j, k)
-        if first is not None:
-            return (i, *first)
-    return None
 
 
 def _group(

@@ -132,26 +132,19 @@ def first_incompatible(add, mul):
     return None
 
 
-def associativity_failure_by_lists(rows, ks):
-    """The first triple (i, j, k) with k in ks and (ij)k != i(jk), in the
-    order of i, then j, then k; None when there is none. The list
-    comprehension loop groups._associativity_failure was written from,
-    kept as the reference for its byte-string form."""
+def associativity_failure_by_lists(rows, is_):
+    """The first triple (i, j, k) with i in is_ and (ij)k != i(jk), in the
+    order of i in is_, then j, then k; None when there is none. A list
+    comprehension loop over each row i, the reference for the byte-string
+    form groups._associativity_failure."""
     n = len(rows)
-    cols = list(zip(*rows))
-    for i in range(n):
+    for i in is_:
         row_i = rows[i]
-        first = None
-        for k in ks:
-            col_k = cols[k]
-            left = [col_k[x] for x in row_i]  # (ij)k for every j
-            right = [row_i[x] for x in col_k]  # i(jk) for every j
+        for j in range(n):
+            left = list(rows[row_i[j]])  # (ij)k for every k
+            right = [row_i[x] for x in rows[j]]  # i(jk) for every k
             if left != right:
-                j = next(j for j in range(n) if left[j] != right[j])
-                if first is None or (j, k) < first:
-                    first = (j, k)
-        if first is not None:
-            return (i, *first)
+                return (i, j, next(k for k in range(n) if left[k] != right[k]))
     return None
 
 

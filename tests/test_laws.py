@@ -19,9 +19,8 @@ triple as the list comprehension loops they replaced, kept in
 tests/oracles.py; at orders 1 and 2 they are checked on every table, where
 an itemgetter of one index returns a scalar. Order-64 tables whose only
 failure sits at index 63 check that neither kernel stops short of the
-last row, column or generator. On all of these tables the yes/no form
-of Light's test that make_group runs on whole byte strings must pass
-exactly where the list loop finds no failing triple.
+last row, column or generator. The associativity kernel reads each table
+flattened to one byte string, as make_group does.
 """
 
 import itertools
@@ -41,7 +40,6 @@ from sbk.enumeration import all_skew_braces, groups_of_order
 from sbk.errors import LeftDistributivityFails, NoIdentity, NotAssociative, NotLatinSquare
 from sbk.groups import (
     FiniteGroup,
-    _associative_at,
     _associativity_failure,
     _flat_table,
     _spanning,
@@ -126,15 +124,13 @@ def _corruptions(rng: random.Random, table, first: int):
 
 
 def _assert_associativity_kernel_agrees(table) -> None:
-    """_associativity_failure names the list loop's first triple, with k
-    over every element and over a descending subset, and _associative_at
-    passes exactly when there is none."""
+    """_associativity_failure names the list loop's first triple, with i
+    over every element and over a descending subset."""
     n = len(table)
     flat = _flat_table(table, "table")
-    for ks in (range(n), range(n - 1, 0, -2)):
-        expected = oracles.associativity_failure_by_lists(table, ks)
-        assert _associativity_failure(table, ks) == expected
-        assert _associative_at(flat, ks) == (expected is None)
+    for is_ in (range(n), range(n - 1, 0, -2)):
+        expected = oracles.associativity_failure_by_lists(table, is_)
+        assert _associativity_failure(flat, is_) == expected
 
 
 def _assert_law_kernel_agrees(add: FiniteGroup, table) -> None:
@@ -163,8 +159,7 @@ def test_law_kernels_match_the_list_loops_on_every_table(n):
         flat = _flat_table(table, "table")
         for ks in index_lists:
             expected = oracles.associativity_failure_by_lists(table, ks)
-            assert _associativity_failure(table, ks) == expected
-            assert _associative_at(flat, ks) == (expected is None)
+            assert _associativity_failure(flat, ks) == expected
             for as_, cs in ((range(n), ks), (ks, range(n))):
                 law_expected = oracles.law_failure_by_lists(add.table, table, as_, cs)
                 assert _law_failure(add, table, as_, cs) == law_expected
@@ -186,18 +181,16 @@ def test_associativity_kernel_reaches_index_63(triple):
     """In the null table with ij = c and ck = e, for distinct nonzero i,
     j, k, c and e, (ij)k = e while jk = 0 and i0 = 0; every other triple
     has both sides 0. So (i, j, k) is the only failure, and a kernel that
-    skips the last row, column or k misses it."""
+    skips the last row or column, or the last i it is given, misses it."""
     n = 64
     i, j, k = triple
     c, e = [x for x in range(1, n) if x not in triple][:2]
     table = _null_table(n, {(i, j): c, (c, k): e})
     assert oracles.first_nonassociative(table) == triple
     flat = _flat_table(table, "table")
-    for ks in (range(n), range(n - 1, 0, -1), [k]):
-        assert _associativity_failure(table, ks) == triple
-        assert not _associative_at(flat, ks)
-    assert _associativity_failure(table, [x for x in range(n) if x != k]) is None
-    assert _associative_at(flat, [x for x in range(n) if x != k])
+    for is_ in (range(n), range(n - 1, 0, -1), [i]):
+        assert _associativity_failure(flat, is_) == triple
+    assert _associativity_failure(flat, [x for x in range(n) if x != i]) is None
 
 
 def test_law_kernel_reaches_c_63():
