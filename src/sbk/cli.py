@@ -150,11 +150,7 @@ def cmd_cauchy(args: SimpleNamespace) -> int:
             _print(
                 f"  p={e.prime}: subbrace {members(e.witness)} ({e.strategy})\n"
             )
-    _print(
-        "all primes witnessed\n"
-        if report.all_primes_witnessed
-        else "MISSING WITNESS\n"
-    )
+    _print("all primes witnessed\n" if report.all_primes_witnessed else "MISSING WITNESS\n")
     return EXIT_OK
 
 
@@ -194,12 +190,7 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
     census = dict.fromkeys(BraceFlags._fields, 0)
     for i, B in enumerate(catalog.entries):
         flags = classify(B)
-        keep = True
-        if args.two_sided and not flags.two_sided:
-            keep = False
-        if args.bi_skew and not flags.bi_skew:
-            keep = False
-        if not keep:
+        if (args.two_sided and not flags.two_sided) or (args.bi_skew and not flags.bi_skew):
             continue
         selected.append(i)
         for key, value in flags.as_dict().items():
@@ -269,9 +260,8 @@ def cmd_survey(args: SimpleNamespace) -> int:
 
 def cmd_ybe(args: SimpleNamespace) -> int:
     B = serialize.load_brace(args.path)
-    r = to_solution(B)
     if args.json:
-        _print(serialize.canonical_dumps(serialize.ybe_to_obj(r)))
+        _print(serialize.canonical_dumps(serialize.ybe_to_obj(to_solution(B))))
     else:
         _print(f"order {B.n}: braid relation holds, non-degenerate\n")
     return EXIT_OK
@@ -283,8 +273,7 @@ def _harness_order(n: int, two_sided: bool, bi_skew: bool) -> dict[str, Any]:
     failures = []
     for idx, B in enumerate(catalog.entries):
         flags = classify(B)
-        in_scope = (two_sided and flags.two_sided) or (bi_skew and flags.bi_skew)
-        if not in_scope:
+        if not ((two_sided and flags.two_sided) or (bi_skew and flags.bi_skew)):
             continue
         checked += 1
         for e in cauchy_report(B).entries:
@@ -300,11 +289,7 @@ def cmd_harness(args: SimpleNamespace) -> int:
     results = _run_per_order(args.n_max, args.workers, job)
     failures = [f for r in results for f in r["failures"]]
     obj = {
-        "scope": {
-            "two_sided": two_sided,
-            "bi_skew": bi_skew,
-            "n_max": args.n_max,
-        },
+        "scope": {"two_sided": two_sided, "bi_skew": bi_skew, "n_max": args.n_max},
         "checked": sum(r["checked"] for r in results),
         "failures": failures,
     }
@@ -316,10 +301,7 @@ def cmd_harness(args: SimpleNamespace) -> int:
                 f"order {r['order']:>2}: {r['checked']} braces in scope, "
                 f"{len(r['failures'])} failures\n"
             )
-        if failures:
-            _print(f"FAIL: {len(failures)} missing witnesses\n")
-        else:
-            _print("all primes witnessed\n")
+        _print(f"FAIL: {len(failures)} missing witnesses\n" if failures else "all primes witnessed\n")
     return EXIT_HARNESS_VIOLATION if failures else EXIT_OK
 
 

@@ -9,20 +9,17 @@ newline) so identical inputs produce byte-identical files.
 
 canonical_dumps writes that form itself, byte for byte what
 json.dumps(obj, sort_keys=True, indent=2) writes: with indent set, the
-json module drops its C encoder for a pure-Python one, which was the
-largest single cost of writing a brace or a Yang-Baxter map. Nearly all
-of every output is blocks of ints: a list of plain ints, or a list of
-non-empty rows, all of one length, that are blocks in turn. A block is
-written by one %d format string built for its shape, filled from its
-flattened ints in one call: a brace file's table, or a whole Yang-Baxter
-map, whose entries are [u, v] pairs. Plain means of type int exactly,
-so a bool, which prints as true, never meets %d. Keys, every other
-scalar, ragged rows and empty rows keep the general path. There a str,
-key or value, goes through json.encoder.encode_basestring_ascii, the C
-function json.dumps itself calls for one; true, false and null are
-written as they are, and an int of type int exactly by int.__repr__, as
-json does. Floats, int subclasses and every other scalar still go
-through json.dumps, and so does a dict with a key that is not a str.
+json module drops its C encoder for a pure-Python one. Nearly all of
+every output is blocks of ints, each written by one %d format string
+built for its shape and filled in one call: a list of plain ints, or a
+list of non-empty rows, all of one length, that are blocks in turn (a
+brace file's table), or a YBEMap, whose flat cells fill an n x n block
+of [u, v] pairs. Plain means of type int exactly, so a bool, which
+prints as true, never meets %d. Anything else keeps the general path: a
+str goes through json.encoder.encode_basestring_ascii, the C function
+json.dumps calls for one; true, false, null and ints are written as
+json writes them, and floats, int subclasses, other scalars and a dict
+with a key that is not a str go through json.dumps.
 """
 
 from __future__ import annotations
@@ -55,6 +52,8 @@ def canonical_dumps(obj: Any) -> str:
 def _dumps(obj: Any, nl: str) -> str:
     """obj as json.dumps(indent=2) writes it, nl being a newline and the
     indent of the line obj starts on, where its closing bracket goes."""
+    if obj.__class__ is YBEMap:  # a tuple, so tested first
+        return _block_format([obj.n, obj.n, 2], nl) % tuple(obj.cells)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -91,8 +90,7 @@ def _dumps(obj: Any, nl: str) -> str:
 def _int_block(obj: Any, nl: str) -> Optional[str]:
     """obj as _dumps writes it when it is a block of plain ints: a list of
     plain ints, or of rows of one non-zero length that are blocks in turn;
-    None otherwise. One %d format string, built for the shape, is filled
-    from the flattened ints."""
+    None otherwise."""
     widths = [len(obj)]
     cells = obj
     while True:
@@ -106,11 +104,17 @@ def _int_block(obj: Any, nl: str) -> Optional[str]:
             return None
         widths.append(width)
         cells = tuple(chain.from_iterable(cells))
+    return _block_format(widths, nl) % tuple(cells)
+
+
+def _block_format(widths: list[int], nl: str) -> str:
+    """The %d format string of a block of ints, widths[d] entries at depth
+    d, whose line is indented as nl."""
     block = "%d"
     for depth in reversed(range(len(widths))):
         inner = nl + "  " * (depth + 1)
         block = "[" + inner + ("," + inner).join([block] * widths[depth]) + inner[:-2] + "]"
-    return block % tuple(cells)
+    return block
 
 
 def _require_field(obj: Any, key: str, n: int) -> list:
@@ -191,11 +195,6 @@ def survey_rows_to_obj(rows: list[SurveyRow]) -> list[dict[str, Any]]:
 def ybe_to_obj(r: YBEMap) -> dict[str, Any]:
     """The map and its checks; every map to_solution returns satisfies the
     braid relation and is non-degenerate (Guarnieri and Vendramin, Thm
-    3.1), so both are true. The pairs go to the writer as they are: tuples
-    are written as lists."""
-    return {
-        "order": r.n,
-        "r": r.pairs,
-        "braid_ok": True,
-        "nondegenerate": True,
-    }
+    3.1), so both are true. The map goes to the writer as it is, which
+    writes its cells as an n x n block of [u, v] pairs."""
+    return {"order": r.n, "r": r, "braid_ok": True, "nondegenerate": True}

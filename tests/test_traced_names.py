@@ -14,6 +14,7 @@ from pathlib import Path
 from sbk import enumeration, serialize
 from sbk.braces import from_group
 from sbk.groups import automorphism_group
+from sbk.ybe import to_solution
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
 
@@ -48,5 +49,8 @@ def test_the_measured_results_have_the_traced_shapes():
         kept = enumeration._orbit_representatives(found, auts)
         assert isinstance(found, list) and isinstance(kept, list)
         assert 0 < len(kept) <= len(found)
-        text = serialize.canonical_dumps(serialize.brace_to_obj(from_group(G, "trivial")))
+        B = from_group(G, "trivial")
+        text = serialize.canonical_dumps(serialize.brace_to_obj(B))
+        assert isinstance(text, str) and text.encode("utf-8")
+        text = serialize.canonical_dumps(serialize.ybe_to_obj(to_solution(B)))
         assert isinstance(text, str) and text.encode("utf-8")

@@ -1,13 +1,22 @@
+import json
+import random
+
 import pytest
 
-from sbk.braces import from_group
+import oracles
+from sbk.braces import from_group, opposite
 from sbk.enumeration import all_skew_braces, are_isomorphic_braces
 from sbk.groups import cyclic_group
-from sbk.serialize import ybe_to_obj
+from sbk.serialize import brace_from_obj, canonical_dumps, ybe_to_obj
 from sbk.ybe import YBEMap, check_solution, to_solution
 
 from test_braces import kernel_braces
 from test_golden import product_braces
+
+
+def _packed(pairs):
+    """The YBEMap with r(x, y) = pairs[x][y], its pairs packed into cells."""
+    return YBEMap(n=len(pairs), cells=bytes(c for row in pairs for pair in row for c in pair))
 
 
 def test_trivial_abelian_brace_gives_the_flip():
@@ -64,14 +73,14 @@ def test_ybe_obj_reports_what_check_solution_finds():
 
 def test_flip_map_is_valid():
     n = 4
-    r = YBEMap(n=n, pairs=tuple(tuple((y, x) for y in range(n)) for x in range(n)))
+    r = _packed([[(y, x) for y in range(n)] for x in range(n)])
     report = check_solution(r)
     assert report.valid
 
 
 def test_constant_map_is_degenerate():
     n = 3
-    r = YBEMap(n=n, pairs=tuple(tuple((0, 0) for _ in range(n)) for _ in range(n)))
+    r = _packed([[(0, 0) for _ in range(n)] for _ in range(n)])
     report = check_solution(r)
     assert report.braid_ok
     assert not report.nondegenerate
@@ -79,7 +88,7 @@ def test_constant_map_is_degenerate():
 
 def test_identity_map_braid_holds_but_degenerate():
     n = 3
-    r = YBEMap(n=n, pairs=tuple(tuple((x, y) for y in range(n)) for x in range(n)))
+    r = _packed([[(x, y) for y in range(n)] for x in range(n)])
     report = check_solution(r)
     assert report.braid_ok
     assert not report.nondegenerate
@@ -90,7 +99,7 @@ def test_broken_map_reports_first_violation():
     pairs = [[(y, x) for y in range(3)] for x in range(3)]
     pairs[1][2] = (0, 0)
     pairs[2][1] = (1, 1)
-    r = YBEMap(n=3, pairs=tuple(tuple(row) for row in pairs))
+    r = _packed(pairs)
     report = check_solution(r)
     assert not report.valid
 
@@ -120,10 +129,31 @@ def test_isomorphic_braces_give_conjugate_solutions():
                 assert r2(f[x], f[y]) == (f[u], f[v])
 
 
+def _definition_braces():
+    """kernel_braces, then the opposite of each product of orders 16 to 64
+    and a seeded relabeling of it, loaded with its identity off index 0."""
+    yield from kernel_braces()
+    rng = random.Random("opposites")
+    for name, B in product_braces():
+        B = opposite(B)
+        yield f"{name} opposite", B
+        labels = list(range(B.n))
+        rng.shuffle(labels)
+        if labels[0] == 0:
+            k = rng.randrange(1, B.n)
+            labels[0], labels[k] = labels[k], labels[0]
+        moved = {
+            "order": B.n,
+            "add": [list(r) for r in oracles.relabel(B.add.table, labels)],
+            "mul": [list(r) for r in oracles.relabel(B.mul.table, labels)],
+        }
+        yield f"{name} opposite relabeled", brace_from_obj(moved)
+
+
 def test_solution_matches_the_definition():
     # r(x, y) = (u, u'xy) with u = lam_x(y) = -x + xy and u' its inverse
     # under the multiplication, each found from the tables alone
-    for name, B in kernel_braces():
+    for name, B in _definition_braces():
         n = B.n
         at = B.add.table
         mt = B.mul.table
@@ -134,3 +164,22 @@ def test_solution_matches_the_definition():
                 u = at[minus_x][mt[x][y]]
                 u_inv = mt[u].index(0)
                 assert r(x, y) == (u, mt[mt[u_inv][x]][y]), (name, x, y)
+
+
+def test_written_map_is_the_json_of_its_pairs():
+    # the writer fills one block from the flat cells; json.dumps writes the
+    # pairs read through r(x, y)
+    catalog = [B for n in range(1, 16) for B in all_skew_braces(n).entries]
+    for B in catalog + [B for _, B in product_braces()]:
+        r = to_solution(B)
+        nested = [[list(r(x, y)) for y in range(B.n)] for x in range(B.n)]
+        obj = {**ybe_to_obj(r), "r": nested}
+        assert canonical_dumps(ybe_to_obj(r)) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_maps_are_built_up_to_order_256():
+    # one byte per entry: the flip of the trivial brace on C256 still fits
+    r = to_solution(from_group(cyclic_group(256), "trivial"))
+    assert (r(255, 1), r(3, 200)) == ((1, 255), (200, 3))
+    with pytest.raises(ValueError, match="256"):
+        to_solution(from_group(cyclic_group(257), "trivial"))
