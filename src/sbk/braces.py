@@ -36,12 +36,12 @@ caller. _law_holds answers yes or no from that alone: _is_bi_skew asks
 it of (mul, add), which is the bi-skew property (Childs, New York J.
 Math. 25 (2019)) that classify reads, and is_two_sided asks it of the
 transposed multiplication, which is the mirrored law (Koch and Truman,
-J. Algebra 546 (2020)). Only assemble (and so make_skew_brace)
-goes through _law_violation, which, once the generators fail, scans
-every a and c to name the first bad triple in its error. Each passes a
-group as the table playing *: assemble a validated group, _is_bi_skew
-the additive group, and is_two_sided the opposite multiplicative group,
-which the same mul.gens generate.
+J. Algebra 546 (2020)). assemble (and so make_skew_brace) asks it too,
+and only once the generators fail does it scan every a and c, to name
+the first bad triple in its error. Each passes a group as the table
+playing *: assemble a validated group, _is_bi_skew the additive group,
+and is_two_sided the opposite multiplicative group, which the same
+mul.gens generate.
 Only tables from outside are checked: opposite braces, quotients by
 ideals, from_group braces and catalog entries are skew braces by
 theorem, each cited where it is built, so _brace builds them unchecked.
@@ -104,31 +104,16 @@ class BraceFlags(NamedTuple):
 def assemble(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
     """Build a brace from two validated groups on the same index set.
 
-    Checks the compatibility law, then builds the lambda cache. Raises
-    LeftDistributivityFails at the first bad triple.
+    Checks the compatibility law on the generators, then builds the lambda
+    cache. Only when the generators fail is every a and c scanned, to
+    raise LeftDistributivityFails at the first bad triple.
     """
-    if mul.n != add.n:
-        raise ValueError(f"group orders differ: {add.n} vs {mul.n}")
-    bad = _law_violation(add, mul.table, mul.gens)
-    if bad is not None:
-        raise LeftDistributivityFails(*bad)
+    n = add.n
+    if mul.n != n:
+        raise ValueError(f"group orders differ: {n} vs {mul.n}")
+    if not _law_holds(add, mul.table, mul.gens):
+        raise LeftDistributivityFails(*_law_failure(add, mul.table, range(n), range(n)))
     return _brace(add, mul)
-
-
-def _law_violation(
-    add: FiniteGroup, mul_table: Sequence[Sequence[int]], mul_gens: Sequence[int]
-) -> Optional[tuple[int, int, int]]:
-    """The first triple (a, b, c) with a * (b + c) != (a * b) - a + (a * c),
-    or None when the law holds on every triple. mul_table must be a group
-    with identity 0, generated by mul_gens.
-
-    The law holds everywhere once it holds for a in mul_gens and c in
-    add.gens; only when it fails there is every a and c scanned, to name
-    the first bad triple.
-    """
-    if _law_holds(add, mul_table, mul_gens):
-        return None
-    return _law_failure(add, mul_table, range(add.n), range(add.n))
 
 
 def _law_holds(

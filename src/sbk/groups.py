@@ -570,52 +570,14 @@ def normal_closure(G: FiniteGroup, xs: Iterable[int]) -> ElementSet:
 # ---------------------------------------------------------------------------
 # Isomorphism machinery shared with the skew brace layer.  A map between two
 # structures carrying k parallel Cayley tables is searched by backtracking on
-# images of greedily chosen generators, pruned by per-element order tuples,
-# and checked only on products by those generators (table_isomorphisms).
+# images of greedily chosen generators, pruned by per-element order tuples.
+# With one table the map is checked only on products by those generators;
+# with several, on every product of mapped elements (table_isomorphisms).
 # ---------------------------------------------------------------------------
-
-# A table's span of the steps, grown as steps are added: the mask and list
-# of the elements reached from 0 by right products, and how many steps they
-# have met.
-_Span = tuple[int, list[int], int]
 
 
 def _order_profile(tables: Sequence[Sequence[Sequence[int]]], n: int) -> list[tuple[int, ...]]:
     return [tuple(_order_in_table(t, x) for t in tables) for x in range(n)]
-
-
-def _span_gap(
-    tables: Sequence[Sequence[Sequence[int]]],
-    spans: list[_Span],
-    steps: Sequence[int],
-    known: Sequence[int],
-) -> list[int]:
-    """[x] for the least x in known outside some table's span of the steps,
-    checking the tables in turn; [] when every span is all of known, which
-    is closed under right products by the steps in every table.
-
-    Each span only grows along a branch, so it is extended in place: the
-    steps it has not met act on the elements it holds, every step on the
-    elements reached since.
-    """
-    for t, table in enumerate(tables):
-        mask, reached, k = spans[t]
-        new = steps[k:]
-        done = len(reached)
-        i = 0
-        while i < len(reached):
-            row = table[reached[i]]
-            ss = new if i < done else steps
-            i += 1
-            for s in ss:
-                c = row[s]
-                if not mask >> c & 1:
-                    mask |= 1 << c
-                    reached.append(c)
-        spans[t] = (mask, reached, len(steps))
-        if len(reached) < len(known):
-            return [min(x for x in known if not mask >> x & 1)]
-    return []
 
 
 def table_isomorphisms(
@@ -630,25 +592,27 @@ def table_isomorphisms(
     least index on ties, so it lies outside the substructure generated so
     far.
 
-    A map f is checked on generator steps only: propagate maps x * s in
-    every table, for each mapped x and each step s, the steps being the
+    Propagate maps x * s in every table, for each mapped x and each step
+    s, and checks f(x * s) = f(x) * f(s). With one table the steps are the
     generators placed on this branch. That is enough. Let M be the mapped
     set, and suppose f(x * s) = f(x) * f(s) for every x in M and every s
-    in a set S that generates M in a table. In a finite group every y in M
-    is a word s_1 ... s_k over S, and by induction on k
+    in a set S that generates M. In a finite group every y in M is a word
+    s_1 ... s_k over S, and by induction on k
 
         f(x * y) = f(x * s_1 ... s_(k-1)) * f(s_k) = f(x) * f(s_1) ... f(s_k);
 
     for x = 0 this reads f(y) = f(s_1) ... f(s_k), so f(x * y) = f(x) * f(y)
-    for every x and y in M. With one table, M is the closure of {0} under
-    right products by the steps, which is the subgroup they generate. With
-    several, M is closed under right products by the steps in each table,
-    but a table's span of the steps can be smaller than M; then the least
-    element of M outside it becomes a step as well (_span_gap), until every
-    span is M. Either way M ends as a subgroup of every table: the
-    substructure generated by the placed generators, as when every pair of
-    mapped elements was checked, so the generators, the pruning and the
-    results are the same. With one table the span check is skipped.
+    for every x and y in M. M is the closure of {0} under right products
+    by the steps, which is the subgroup they generate.
+
+    With several tables every newly mapped element becomes a step too, so
+    on entry to propagate the steps are all of M but 0. On success M is
+    closed under x * y for all x and y in M, in every table, with f checked
+    on each product: M is the substructure generated by the placed
+    generators, and f an injective homomorphism on it. Propagate fails
+    exactly when f has no such extension, and one that exists is unique,
+    so M, the next generator, the pruning and the results are those of
+    any complete check.
     """
     n = len(src_tables[0])
     if len(dst_tables[0]) != n:
@@ -672,7 +636,6 @@ def table_isomorphisms(
         used: list[bool],
         known: list[int],
         steps: list[int],
-        spans: list[_Span],
         g: int,
     ) -> bool:
         # Every step has met each element of known; g is mapped and new.
@@ -704,7 +667,7 @@ def table_isomorphisms(
                             known.append(c)
             if not several:
                 return True
-            new = _span_gap(src_tables, spans, steps, known)
+            new = known[len(steps) + 1 :]
             if not new:
                 return True
             done = len(known)
@@ -719,7 +682,6 @@ def table_isomorphisms(
         used: list[bool],
         known: list[int],
         steps: list[int],
-        spans: list[_Span],
     ) -> bool:
         while i < len(order) and fwd[order[i]] >= 0:
             i += 1
@@ -736,9 +698,8 @@ def table_isomorphisms(
             used2[img] = True
             known2 = known.copy()
             steps2 = steps.copy()
-            spans2 = [(mask, reached.copy(), k) for mask, reached, k in spans]
-            if propagate(fwd2, used2, known2, steps2, spans2, g) and search(
-                i + 1, fwd2, used2, known2, steps2, spans2
+            if propagate(fwd2, used2, known2, steps2, g) and search(
+                i + 1, fwd2, used2, known2, steps2
             ):
                 return True
         return False
@@ -747,8 +708,7 @@ def table_isomorphisms(
     used0 = [False] * n
     fwd0[0] = 0
     used0[0] = True
-    spans0 = [(1, [0], 0) for _ in src_tables] if several else []
-    search(0, fwd0, used0, [0], [], spans0)
+    search(0, fwd0, used0, [0], [])
     return results
 
 

@@ -12,7 +12,8 @@ import pytest
 
 import oracles
 from sbk import cli
-from sbk.braces import from_group, opposite
+from sbk.bitset import members
+from sbk.braces import from_group, make_skew_brace, opposite
 from sbk.cli import _analysis_obj, main
 from sbk.enumeration import all_skew_braces
 from sbk.groups import cyclic_group, dihedral_group, direct_product
@@ -23,6 +24,7 @@ from sbk.substructure import (
     minimal_ideals,
     subbrace_carriers,
 )
+from test_golden import product_braces
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -94,6 +96,38 @@ def test_analysis_fields_equal_the_standalone_calls():
                 assert obj["minimal_ideals"] == minimal_ideals(B)
                 assert obj["simple"] == (len(ideals(B)) == 2)
                 assert obj["solubility_chain"] == is_soluble_brace(B)
+
+
+def test_analysis_is_equivariant_under_relabeling():
+    # relabeling a brace by sigma fixing 0 maps every carrier, ideal, centre,
+    # square and ker lambda to its sigma-image and keeps the flags; list
+    # order may change, so the lists are compared as sets of masks
+    rng = random.Random(7)
+    braces = [B for n in range(1, 16) for B in all_skew_braces(n).entries]
+    braces += [B for _, B in product_braces()]
+    for B in braces:
+        n = B.n
+        sigma = [0] + rng.sample(range(1, n), n - 1)
+        B2 = make_skew_brace(
+            oracles.relabel(B.add.table, sigma), oracles.relabel(B.mul.table, sigma)
+        )
+
+        def image(mask):
+            return sum(1 << sigma[x] for x in members(mask))
+
+        obj, obj2 = _analysis_obj(B), _analysis_obj(B2)
+        for key in ("subbraces", "ideals", "minimal_ideals"):
+            assert set(obj2[key]) == set(map(image, obj[key])), (n, key)
+        for key in ("square", "opposite_square", "ker_lambda"):
+            assert obj2[key] == image(obj[key]), (n, key)
+        centers, centers2 = obj["centers"], obj2["centers"]
+        assert centers2 == {
+            "add": image(centers["add"]),
+            "mul": image(centers["mul"]),
+            "mul_is_ideal": centers["mul_is_ideal"],
+        }
+        for key in ("flags", "simple", "soluble"):
+            assert obj2[key] == obj[key], (n, key)
 
 
 def test_analyze_json_trivial_brace_on_c2_5(tmp_path, capsys):

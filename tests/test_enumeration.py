@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sbk.bitset import members
+from sbk.bitset import members, size
 from sbk.braces import classify, from_group, make_skew_brace
 from sbk.enumeration import (
     SUPPORTED_ORDERS,
@@ -27,8 +27,10 @@ from sbk.groups import (
     subgroups,
     table_isomorphisms,
 )
+from sbk.substructure import ker_lambda
 
 import oracles
+from test_golden import product_braces
 
 
 @pytest.mark.parametrize(
@@ -132,21 +134,51 @@ def test_trivial_vs_almost_trivial_on_sym3():
 
 
 def test_are_isomorphic_braces_witness_preserves_both_tables():
-    # a seeded relabeling of every catalog brace through order 12, loaded
-    # from its tables, is found isomorphic by a map respecting both tables
+    # a seeded relabeling of every catalog brace through order 12 and of
+    # every product brace of orders 16 to 64, loaded from its tables, is
+    # found isomorphic by a map respecting both tables
     rng = random.Random(12)
-    for n in range(1, 13):
-        for B in all_skew_braces(n).entries:
-            sigma = [0] + rng.sample(range(1, n), n - 1)
-            B2 = make_skew_brace(
-                oracles.relabel(B.add.table, sigma), oracles.relabel(B.mul.table, sigma)
-            )
-            f = are_isomorphic_braces(B, B2)
-            assert f is not None
-            for a in range(n):
-                for b in range(n):
-                    assert f[B.add.table[a][b]] == B2.add.table[f[a]][f[b]]
-                    assert f[B.mul.table[a][b]] == B2.mul.table[f[a]][f[b]]
+    braces = [B for n in range(1, 13) for B in all_skew_braces(n).entries]
+    braces += [B for _, B in product_braces()]
+    for B in braces:
+        n = B.n
+        sigma = [0] + rng.sample(range(1, n), n - 1)
+        B2 = make_skew_brace(
+            oracles.relabel(B.add.table, sigma), oracles.relabel(B.mul.table, sigma)
+        )
+        f = are_isomorphic_braces(B, B2)
+        assert f is not None
+        for a in range(n):
+            for b in range(n):
+                assert f[B.add.table[a][b]] == B2.add.table[f[a]][f[b]]
+                assert f[B.mul.table[a][b]] == B2.mul.table[f[a]][f[b]]
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        direct_product(dihedral_group(8), cyclic_group(4)),
+        direct_product(dihedral_group(8), dihedral_group(8)),
+    ],
+    ids=["D8xC4", "D8xD8"],
+)
+def test_are_isomorphic_braces_none_on_one_additive_group(G):
+    # The trivial and almost trivial braces on a non-abelian group share
+    # the additive group and the order profile, so the search runs. They
+    # are not isomorphic: classify tells them apart, and ker lambda is all
+    # of G in the one and the centre in the other.
+    n = G.n
+    T = from_group(G, "trivial")
+    A = from_group(G, "almost_trivial")
+    assert classify(T) != classify(A)
+    assert size(ker_lambda(T)) == n > size(ker_lambda(A))
+    sigma = [0] + random.Random(n).sample(range(1, n), n - 1)
+    A2 = make_skew_brace(
+        oracles.relabel(A.add.table, sigma), oracles.relabel(A.mul.table, sigma)
+    )
+    assert are_isomorphic_braces(T, A) is None
+    assert are_isomorphic_braces(T, A2) is None
+    assert are_isomorphic_braces(A2, T) is None
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 1), (4, 4), (5, 1), (6, 6)])

@@ -486,9 +486,11 @@ def test_automorphism_group_of_elementary_abelian_is_general_linear(G, order):
 def test_table_isomorphisms_span_check_on_two_tables():
     # Two cyclic tables of order 6 on one set. The first generator, 1, has
     # order 6 in the first table and 3 in the second, so its right products
-    # map every element while it spans only half of the second table: the
-    # span check adds a step. Without it the search would also return
-    # x -> -x, an automorphism of the first table only.
+    # map every element while it generates only half of the second table.
+    # With several tables every mapped element becomes a step, so f is
+    # checked on every product in the second table as well. Stepping on
+    # the placed generator alone, as with one table, the search would also
+    # return x -> -x, an automorphism of the first table only.
     first = cyclic_group(6).table
     second = oracles.relabel(first, (0, 2, 1, 4, 5, 3))
     tables = [first, second]
