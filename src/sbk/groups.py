@@ -31,7 +31,12 @@ the subbrace lattice, the star square and the compatibility law
 
 _flat_table flattens each table to one byte string, row by row, while it
 checks the entries, which the order cap keeps possible, and every later
-test reads that string. make_group first moves the identity e to 0 by
+test reads that string. bytes() of a row refuses every entry that is not
+an int, but takes a bool as 0 or 1, so the entries of type int exactly
+are counted on every table the Python API is given. A table load_brace
+decoded by json from a text in which neither true nor false appears
+holds no bool, as json decodes only those tokens to one, and skips that
+count. make_group first moves the identity e to 0 by
 the transposition s = (0 e): cell (i, j) becomes s(s(i)s(j)), so one
 bytes.translate applies s to every entry and two slice swaps exchange
 rows 0 and e and columns 0 and e. A relabeled table is associative
@@ -191,7 +196,7 @@ def _group_of_flat(flat: Flat, identity: Optional[int], name: str = "") -> Finit
     return _group(rows, name, gens=span)
 
 
-def _flat_table(table: Sequence[Sequence[int]], key: str) -> Flat:
+def _flat_table(table: Sequence[Sequence[int]], key: str, no_bools: bool = False) -> Flat:
     """The entries of a square table of indices, row by row, in one flat
     sequence: each row a list or tuple of len(table) entries, each an int
     (not a bool) in 0..n-1. The sequence is a byte string, which every
@@ -199,27 +204,37 @@ def _flat_table(table: Sequence[Sequence[int]], key: str) -> Flat:
     find_identity alone reads before make_group refuses it, is a tuple, as
     its entries need not fit in a byte.
 
-    A few whole-table tests decide it: the row types and lengths, the
-    count of entries of type int exactly (bytes() would take a bool), then
-    bytes() of the entries, with nothing left once 0..n-1 is deleted from
-    it. Only when they fail is the table scanned row by row, to raise
-    BadInput on the first bad row or entry, calling the table key.
+    A few whole-table tests decide it: the row types and lengths, then the
+    bytes() of the rows joined, with nothing left once 0..n-1 is deleted
+    from it. bytes() raises TypeError on an entry that is not an int and
+    ValueError on one outside 0..255, but it takes a bool, or any other int
+    subclass, as an int. So the entries of type int exactly are counted
+    first, unless no_bools says no entry can be an int subclass: the table
+    was decoded by json from a text that spells neither true nor false.
+    json decodes only those two tokens to a bool, and every other value it
+    decodes is an int, which bytes() takes, or a float, str, None, list or
+    dict, which it refuses. The Python API (make_group, make_skew_brace,
+    brace_from_obj) always counts. Only when a test fails is the table
+    scanned row by row, to raise BadInput on the first bad row or entry,
+    calling the table key.
     """
     n = len(table)
-    if all(type(row) in (list, tuple) and len(row) == n for row in table):
-        cells = list(itertools.chain.from_iterable(table))
-        if list(map(type, cells)).count(int) == n * n:
-            if n > MAX_GROUP_ORDER:
-                if set(range(n)).issuperset(cells):
-                    return tuple(cells)
+    if all(type(row) in (list, tuple) and len(row) == n for row in table) and (
+        no_bools and n <= MAX_GROUP_ORDER
+        or list(map(type, itertools.chain.from_iterable(table))).count(int) == n * n
+    ):
+        if n > MAX_GROUP_ORDER:
+            cells = tuple(itertools.chain.from_iterable(table))
+            if set(range(n)).issuperset(cells):
+                return cells
+        else:
+            try:
+                flat = b"".join(map(bytes, table))
+            except (TypeError, ValueError):  # an entry not an int, or outside 0..255
+                pass
             else:
-                try:
-                    flat = bytes(cells)
-                except ValueError:  # an entry below 0 or above 255
-                    pass
-                else:
-                    if not flat.translate(None, bytes(range(n))):
-                        return flat
+                if not flat.translate(None, bytes(range(n))):
+                    return flat
     for i, row in enumerate(table):
         if type(row) not in (list, tuple) or len(row) != n:
             raise BadInput(f"row {i} of {key!r} must have length {n}")
@@ -296,6 +311,17 @@ def _spanning(
     the reached set is a subgroup, which each new element at least doubles,
     so at most log2(n) elements are chosen. On any other table with
     identity e up to n may be, and they still reach every index.
+
+    Each product of a reached element by a step is read once, on any
+    table, group or not. The reached set R is closed under right products
+    by the earlier steps S: so it is at the start, when R = {e} and S is
+    empty, and so it stays. When x becomes a step, R is walked with x
+    alone, and each element this adds is walked with every step of S and
+    x, as is each element that walk adds in turn. Then every r in R has rs
+    in R for s in S and rx walked, and every new element has all its
+    products walked, so the union is closed under S and x. It holds only
+    products of e by S and x, so it is their closure, and the same closure
+    as walking all of it with every step: the greedy steps are the same.
     """
     steps: list[int] = []
     seen = 1 << e
@@ -304,26 +330,33 @@ def _spanning(
         if seen >> x & 1:
             continue
         steps.append(x)
-        frontier = reached.copy()
-        while frontier:
-            row = table[frontier.pop()]
+        # walk meets the elements added to reached, after those it held
+        walk = iter(reached)
+        for a in itertools.islice(walk, len(reached)):
+            c = table[a][x]
+            if not seen >> c & 1:
+                seen |= 1 << c
+                reached.append(c)
+        for a in walk:
+            row = table[a]
             for g in steps:
                 c = row[g]
                 if not seen >> c & 1:
                     seen |= 1 << c
                     reached.append(c)
-                    frontier.append(c)
     return tuple(steps)
 
 
 def _group(
-    rows: Iterable[Iterable[int]], name: str = "", gens: Optional[tuple[int, ...]] = None
+    rows: Sequence[Sequence[int]], name: str = "", gens: Optional[tuple[int, ...]] = None
 ) -> FiniteGroup:
     """The group of a table already known to be a group with identity 0;
-    nothing is checked. A right inverse in a group is two-sided. gens, when
-    given, is _spanning(rows) already computed, and becomes G.gens."""
-    table = tuple(tuple(row) for row in rows)
-    inv = tuple(row.index(0) for row in table)
+    nothing is checked. A right inverse in a group is two-sided, and it is
+    read off the rows as given: on the byte rows of make_group, index is a
+    memchr. gens, when given, is _spanning(rows) already computed, and
+    becomes G.gens."""
+    inv = tuple(row.index(0) for row in rows)
+    table = tuple(map(tuple, rows))
     G = FiniteGroup(n=len(table), table=table, inv=inv, name=name)
     if gens is not None:
         G.__dict__["gens"] = gens  # where cached_property keeps it
@@ -391,6 +424,20 @@ def subgroups(G: FiniteGroup) -> list[ElementSet]:
     return list(_subgroup_lattice(G))
 
 
+def _cyclic_subgroups(G: FiniteGroup) -> list[ElementSet]:
+    """<x> for each x, as a bitmask: the powers x, x^2, ... read down
+    column x, each the last one times x, until the identity."""
+    cyclic = []
+    for x, col in enumerate(G.columns):
+        mask = 1  # identity
+        y = x
+        while y:
+            mask |= 1 << y
+            y = col[y]
+        cyclic.append(mask)
+    return cyclic
+
+
 def _subgroup_lattice(G: FiniteGroup) -> Lattice:
     """Every subgroup, each with a list of elements generating it and its
     members, sorted by size then by member sequence. The members are
@@ -418,8 +465,9 @@ def _subgroup_lattice(G: FiniteGroup) -> Lattice:
     table = G.table
     n = G.n
     # bits[d][h] = the bit of h * d; a coset mask is a sum of distinct bits
-    bits = [tuple(1 << c for c in col) for col in G.columns]
-    cyclic = [generated_subgroup(G, [x]) for x in G.elements()]
+    bit = [1 << i for i in range(n)]
+    bits = [tuple(map(bit.__getitem__, col)) for col in G.columns]
+    cyclic = _cyclic_subgroups(G)
     gens_of: dict[ElementSet, list[int]] = {}
     for x, cyc in enumerate(cyclic):
         gens_of.setdefault(cyc, [x])

@@ -137,10 +137,17 @@ def brace_from_obj(obj: Any) -> SkewBrace:
     """The brace of a JSON object. Each table is checked once: its field
     here, then its rows and entries by _flat_table, which flattens it to
     the byte string every later test reads, the additive table in full
-    before the multiplicative one."""
+    before the multiplicative one. Entries of type int exactly are counted,
+    so a bool or other int subclass is refused."""
+    return _brace_of_obj(obj, no_bools=False)
+
+
+def _brace_of_obj(obj: Any, no_bools: bool) -> SkewBrace:
+    """brace_from_obj, whose tables _flat_table checks without counting
+    int types when no_bools says no entry can be an int subclass."""
     n = _require_order(obj)
-    add = _flat_table(_require_field(obj, "add", n), "add")
-    mul = _flat_table(_require_field(obj, "mul", n), "mul")
+    add = _flat_table(_require_field(obj, "add", n), "add", no_bools)
+    mul = _flat_table(_require_field(obj, "mul", n), "mul", no_bools)
     return _skew_brace_of_flat(add, mul)
 
 
@@ -153,16 +160,22 @@ def brace_to_obj(B: SkewBrace) -> dict[str, Any]:
 
 
 def load_brace(path: str) -> SkewBrace:
-    return brace_from_obj(_load_json(path))
-
-
-def _load_json(path: str) -> Any:
+    """The brace of a JSON file, read as text and decoded by json.loads,
+    and checked as brace_from_obj checks it, with the same errors. json
+    decodes a value to a bool only where the text spells true or false;
+    every other value it decodes is an int, a float (1.0, 1e0, NaN,
+    Infinity, 1E400), a str, None, a list or a dict, and bytes() refuses
+    all but the int. So when neither word appears anywhere in the text, in
+    a key or string too, no entry can be a bool and the int-type count is
+    skipped; when either appears, it runs."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        obj = json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers bad JSON and bytes that are not UTF-8
         raise BadInput(f"cannot read JSON from {path}: {exc}") from exc
+    return _brace_of_obj(obj, no_bools="true" not in text and "false" not in text)
 
 
 def cauchy_report_to_obj(report: CauchyReport) -> dict[str, Any]:

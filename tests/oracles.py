@@ -282,6 +282,28 @@ def generated_subgroup_bruteforce(table, gens) -> int:
         seen = grown
 
 
+def spanning_by_double_walk(table, e: int = 0, among=None) -> tuple[int, ...]:
+    """groups._spanning as it was first written: the greedy steps, each
+    new step walking every reached element again with every step."""
+    steps: list[int] = []
+    seen = 1 << e
+    reached = [e]
+    for x in range(len(table)) if among is None else among:
+        if seen >> x & 1:
+            continue
+        steps.append(x)
+        frontier = reached.copy()
+        while frontier:
+            row = table[frontier.pop()]
+            for g in steps:
+                c = row[g]
+                if not seen >> c & 1:
+                    seen |= 1 << c
+                    reached.append(c)
+                    frontier.append(c)
+    return tuple(steps)
+
+
 def prime_subbraces_bruteforce(B, p: int) -> list[int]:
     """Masks of p-element subsets that are subgroups of both operations."""
     n = B.n

@@ -16,7 +16,9 @@ from sbk.errors import (
     NotLatinSquare,
     NotPrime,
 )
+from sbk.enumeration import _product_rows
 from sbk.groups import (
+    _cyclic_subgroups,
     _spanning,
     alternating_group_4,
     automorphism_group,
@@ -43,7 +45,9 @@ from test_golden import (
     _large_brace_files,
     _large_braces,
     _order_64_analyze_braces,
+    product_braces,
 )
+from test_laws import _corruptions, _random_labels
 
 
 def test_make_group_z2():
@@ -354,6 +358,47 @@ def test_generated_subgroup_matches_bruteforce_closure():
             assert generated_subgroup(G, gens) == oracles.generated_subgroup_bruteforce(
                 G.table, gens
             ), (G, gens)
+
+
+def _catalog_and_product_groups():
+    """Every catalog group through order 15, then the groups of the
+    order-16 to 64 product braces."""
+    for n in range(1, 16):
+        yield from groups_of_order(n)
+    for _, B in product_braces():
+        yield from (B.add, B.mul)
+
+
+def test_cyclic_subgroups_are_the_generated_ones():
+    for G in _catalog_and_product_groups():
+        assert _cyclic_subgroups(G) == [generated_subgroup(G, [x]) for x in G.elements()], G
+
+
+def test_spanning_matches_the_double_walk():
+    # the greedy steps of the single walk are those of the double walk on
+    # groups and on tables that are not groups, relabeled too; on
+    # subgroups and other sets holding 0 (among, as is_subgroup passes it);
+    # and on the product rows of automorphism groups (e, as
+    # _orbit_representatives passes it)
+    rng = random.Random("spanning")
+    for G in _catalog_and_product_groups():
+        tables = [G.table, *_corruptions(rng, G.table, 0), *_corruptions(rng, G.table, 1)]
+        for table in tables:
+            for t in (table, oracles.relabel(table, _random_labels(rng, G.n))):
+                assert _spanning(t) == oracles.spanning_by_double_walk(t), G
+        if G.n > 15:
+            continue
+        # is_subgroup passes sets holding 0 that need not be subgroups
+        masks = [1 | rng.getrandbits(G.n) for _ in range(5)]
+        for mask in subgroups(G) + masks:
+            ms = members(mask)
+            assert _spanning(G.table, among=ms) == oracles.spanning_by_double_walk(
+                G.table, among=ms
+            )
+        auts = automorphism_group(G)
+        rows, index = _product_rows(auts)
+        e = index[tuple(range(G.n))]
+        assert _spanning(rows, e) == oracles.spanning_by_double_walk(rows, e), G
 
 
 def test_subgroups_of_c2_5():

@@ -5,7 +5,7 @@ from enum import IntEnum
 import pytest
 
 from sbk import cauchy, cli, serialize
-from sbk.braces import classify, from_group
+from sbk.braces import classify, from_group, make_skew_brace
 from sbk.cauchy import cauchy_report
 from sbk.enumeration import all_skew_braces, are_isomorphic_braces, groups_of_order
 from sbk.errors import BadInput, IdentityMismatch, SkewBraceKitError
@@ -421,3 +421,86 @@ def test_entry_check_errors_are_pinned(tmp_path, capsys):
         assert (code, out) == (1, "")
         got[name] = (err, _make_group_error(add), _make_group_error(mul))
     assert got == ENTRY_CHECK_ERRORS
+
+
+# Every kind of JSON value a cell can hold: the bools, floats json reads
+# its own way, -0 (the int 0), a str, null, a list, an object, ints out of
+# range and one in range. n stands for the order.
+_CELL_TOKENS = (
+    "true", "false", "1.0", "1e0", "-0", '"1"', "null", "[1]", "{}", "-1", "n", "256",
+    "NaN", "Infinity", "1E400", "0",
+)
+# no extra key, and true or false spelled in a string and in a key
+_EXTRA_KEYS = ("", '"note": "true", ', '"false": 1, ')
+
+
+def _token_file_texts():
+    """An order-16 product brace file per cell token and extra key: the
+    token in place of a cell of the mul table that holds 1."""
+    B = next(B for _, B in product_braces() if B.n == 16)
+    r, c = next((r, c) for r in range(1, 16) for c in range(16) if B.mul.table[r][c] == 1)
+    obj = brace_to_obj(B)
+    obj["mul"][r][c] = "@cell"
+    text = json.dumps(obj, sort_keys=True)
+    for token in _CELL_TOKENS:
+        cell = "16" if token == "n" else token
+        for extra in _EXTRA_KEYS:
+            yield token, extra, "{" + extra + text[1:].replace('"@cell"', cell)
+
+
+def test_loader_reads_every_cell_token_as_the_full_type_count_does(tmp_path, capsys):
+    # load_brace counts int types only when true or false is in the text;
+    # every file must give the line brace_from_obj gives through the count
+    path = tmp_path / "brace.json"
+    by_token = {}
+    for token, extra, text in _token_file_texts():
+        path.write_text(text, encoding="utf-8")
+        code = cli.main(["verify", str(path), "--json"])
+        got = (code, *capsys.readouterr())
+        try:
+            brace_from_obj(json.loads(text))
+        except SkewBraceKitError as exc:
+            expected = (1, "", f"error: {exc}\n")
+        else:
+            expected = (0,)
+        assert got[: len(expected)] == expected, (token, extra)
+        by_token.setdefault(token, []).append(got)
+    assert by_token["-0"] == by_token["0"]
+    assert all("entry True in row" in got[2] for got in by_token["true"])
+    assert all("entry False in row" in got[2] for got in by_token["false"])
+
+
+class _Cell(IntEnum):
+    TWO = 2
+
+
+class _Index(int):
+    pass
+
+
+_API_CELLS = (
+    # (row, col, value, message): value in place of the Z3 entry it equals
+    (0, 1, True, "entry True in row 0 of {key!r} out of range"),
+    (0, 0, False, "entry False in row 0 of {key!r} out of range"),
+    (0, 2, _Cell.TWO, "entry <_Cell.TWO: 2> in row 0 of {key!r} out of range"),
+    (1, 1, _Index(2), "entry 2 in row 1 of {key!r} out of range"),
+)
+
+
+@pytest.mark.parametrize(
+    "row, col, value, message", _API_CELLS, ids=["true", "false", "intenum", "int_subclass"]
+)
+def test_python_api_refuses_int_subclasses(row, col, value, message):
+    assert value == Z3[row][col]
+    table = _with_cell(row, col, value)
+    calls = (
+        ("table", lambda: make_group(table)),
+        ("add", lambda: make_skew_brace(table, Z3)),
+        ("mul", lambda: make_skew_brace(Z3, table)),
+        ("add", lambda: brace_from_obj({"order": 3, "add": table, "mul": Z3})),
+        ("mul", lambda: brace_from_obj({"order": 3, "add": Z3, "mul": table})),
+    )
+    for key, call in calls:
+        with pytest.raises(BadInput) as info:
+            call()
+        assert str(info.value) == message.format(key=key)
