@@ -23,7 +23,6 @@ from .cauchy import (
     SurveyRow,
     cauchy_report,
     find_subbrace_of_order,
-    survey,
 )
 from .enumeration import (
     BraceCatalog,
@@ -93,7 +92,6 @@ __all__ = [
     "quotient",
     "star",
     "subgroups",
-    "survey",
     "sylow_p",
     "to_solution",
 ]

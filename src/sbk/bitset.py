@@ -38,9 +38,3 @@ def full_mask(n: int) -> ElementSet:
 
 def contains(mask: ElementSet, i: int) -> bool:
     return (mask >> i) & 1 == 1
-
-
-def sort_key(mask: ElementSet) -> tuple[int, tuple[int, ...]]:
-    """Deterministic ordering: by size, then by the member sequence."""
-    ms = members(mask)
-    return (len(ms), tuple(ms))

@@ -185,8 +185,6 @@ def _op(G: FiniteGroup) -> FiniteGroup:
 def make_skew_brace(
     add_table: Sequence[Sequence[int]],
     mul_table: Sequence[Sequence[int]],
-    add_name: str = "",
-    mul_name: str = "",
 ) -> SkewBrace:
     """Validate both tables, normalize the shared identity to 0, and check
     the compatibility law. Raises IdentityMismatch if the two tables have
@@ -196,12 +194,10 @@ def make_skew_brace(
         raise ValueError("additive and multiplicative tables differ in size")
     add_flat = _flat_table(add_table, "add")
     mul_flat = _flat_table(mul_table, "mul")
-    return _skew_brace_of_flat(add_flat, mul_flat, add_name, mul_name)
+    return _skew_brace_of_flat(add_flat, mul_flat)
 
 
-def _skew_brace_of_flat(
-    add_flat: Flat, mul_flat: Flat, add_name: str = "", mul_name: str = ""
-) -> SkewBrace:
+def _skew_brace_of_flat(add_flat: Flat, mul_flat: Flat) -> SkewBrace:
     """make_skew_brace on two tables of one size that _flat_table has
     already checked and flattened. Each table's identity is found once
     here."""
@@ -211,8 +207,8 @@ def _skew_brace_of_flat(
         raise IdentityMismatch(e_add, e_mul)
     # _group_of_flat reports in the given labels, then moves the identity
     # to 0 by the transposition (0 e_add); both tables share that relabeling.
-    add = _group_of_flat(add_flat, e_add, add_name)
-    mul = _group_of_flat(mul_flat, e_mul, mul_name)
+    add = _group_of_flat(add_flat, e_add)
+    mul = _group_of_flat(mul_flat, e_mul)
     try:
         return assemble(add, mul)
     except LeftDistributivityFails as exc:

@@ -102,11 +102,3 @@ def survey_order(n: int) -> list[SurveyRow]:
             )
         )
     return rows
-
-
-def survey(n_max: int) -> list[SurveyRow]:
-    """Cauchy status of every catalog brace of order up to n_max."""
-    rows = []
-    for n in range(1, n_max + 1):
-        rows.extend(survey_order(n))
-    return rows

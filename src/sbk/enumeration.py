@@ -391,7 +391,7 @@ def _orbit_representatives(
     """
     rows, index = _product_rows(auts)
     actions = []
-    for f in _spanning(rows, index[tuple(range(len(auts[0])))]):
+    for f in _spanning(rows, index[tuple(range(len(auts[0])))])[0]:
         phi = auts[f]
         inv = [0] * len(phi)
         for x, y in enumerate(phi):

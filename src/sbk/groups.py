@@ -17,7 +17,9 @@ is in N, provided the closure of {e} under right products by S is the
 whole table, as every element of that closure is then a product of
 elements of N. _spanning picks such an S, of at most log2(n) elements
 for a group, and make_group tests i over S: O(n^2 |S|) work in place of
-n^3.
+n^3. _spanning also returns the set it reaches, which on a group is the
+subgroup its candidates generate; generated_subgroup and is_subgroup
+read that set, so one closure walk serves all three.
 The same argument decides normality: the g with gHg^-1 in H are closed
 under products, so is_normal tests only the group's generators. So does
 center: the centralizer of g is a subgroup, so g is central once it
@@ -70,7 +72,7 @@ from math import isqrt
 from operator import eq, itemgetter
 from typing import Iterable, NoReturn, Optional, Sequence
 
-from .bitset import ElementSet, contains, full_mask, members, size
+from .bitset import ElementSet, full_mask, members, size
 from .errors import (
     BadInput,
     GroupTooLarge,
@@ -133,7 +135,7 @@ class FiniteGroup(_Frozen):
     def gens(self) -> tuple[int, ...]:
         """At most log2(n) elements whose right products, starting from the
         identity, reach the whole group; computed once per group."""
-        return _spanning(self.table)
+        return _spanning(self.table)[0]
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -157,7 +159,7 @@ def find_identity(flat: Flat) -> Optional[int]:
     return None
 
 
-def make_group(table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
+def make_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Validate a Cayley table and return the group, identity moved to 0.
 
     Raises BadInput when the table is not square with entries 0..n-1, then
@@ -165,10 +167,10 @@ def make_group(table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
     violation; a table passing all of them is a group.
     """
     flat = _flat_table(table, "table")
-    return _group_of_flat(flat, find_identity(flat), name)
+    return _group_of_flat(flat, find_identity(flat))
 
 
-def _group_of_flat(flat: Flat, identity: Optional[int], name: str = "") -> FiniteGroup:
+def _group_of_flat(flat: Flat, identity: Optional[int]) -> FiniteGroup:
     """make_group on a table that _flat_table has already checked and
     flattened, whose identity find_identity returned: an index, or None
     when the table has none.
@@ -190,10 +192,10 @@ def _group_of_flat(flat: Flat, identity: Optional[int], name: str = "") -> Finit
     moved = _moved_to_zero(flat, identity) if identity else flat
     rows = [moved[i : i + n] for i in range(0, n * n, n)]
     # the greedy span of the table the group keeps is its gens
-    span = _spanning(rows)
+    span = _spanning(rows)[0]
     if not all(0 in row for row in rows) or _associativity_failure(moved, span) is not None:
         _raise_first_violation(flat)  # in the labels as given
-    return _group(rows, name, gens=span)
+    return _group(rows, gens=span)
 
 
 def _flat_table(table: Sequence[Sequence[int]], key: str, no_bools: bool = False) -> Flat:
@@ -301,16 +303,20 @@ def _raise_first_violation(flat: bytes) -> NoReturn:
 
 def _spanning(
     table: Sequence[Sequence[int]], e: int = 0, among: Optional[Iterable[int]] = None
-) -> tuple[int, ...]:
-    """Elements whose right products, starting from the identity e, reach
-    every index of the table. When among is given the elements are chosen
-    from it, and they reach every element of it: exactly among when it is
-    a subgroup.
+) -> tuple[tuple[int, ...], ElementSet]:
+    """(steps, reached): elements whose right products, starting from the
+    identity e, reach every index of the table, and the bitmask of what
+    they reach. When among is given the steps are chosen from it; on a
+    group, reached is then the subgroup among generates.
 
-    Greedy: the least index not reached yet is the next element. In a group
-    the reached set is a subgroup, which each new element at least doubles,
-    so at most log2(n) elements are chosen. On any other table with
-    identity e up to n may be, and they still reach every index.
+    Greedy: the least index not reached yet is the next step. In a group
+    the reached set is a subgroup, which each new step at least doubles,
+    so at most log2(n) steps are chosen. On any other table with identity
+    e up to n may be, and they still reach every index. On a group each
+    element of among is either a step or already reached, so reached holds
+    among and is the closure of {e} under right products by elements of
+    among; in a finite group every inverse is a positive power, so reached
+    is the subgroup among generates.
 
     Each product of a reached element by a step is read once, on any
     table, group or not. The reached set R is closed under right products
@@ -344,7 +350,7 @@ def _spanning(
                 if not seen >> c & 1:
                     seen |= 1 << c
                     reached.append(c)
-    return tuple(steps)
+    return tuple(steps), seen
 
 
 def _group(
@@ -353,7 +359,7 @@ def _group(
     """The group of a table already known to be a group with identity 0;
     nothing is checked. A right inverse in a group is two-sided, and it is
     read off the rows as given: on the byte rows of make_group, index is a
-    memchr. gens, when given, is _spanning(rows) already computed, and
+    memchr. gens, when given, is _spanning(rows)[0] already computed, and
     becomes G.gens."""
     inv = tuple(row.index(0) for row in rows)
     table = tuple(map(tuple, rows))
@@ -378,45 +384,16 @@ def _order_in_table(table: Sequence[Sequence[int]], x: int) -> int:
 
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> ElementSet:
-    """Subgroup generated by the given elements, as a bitmask.
-
-    The closure of {0} under right multiplication by the generators: in a
-    finite group every inverse is a positive power, so that closure is
-    already the subgroup. Each element found costs one step per generator.
-    """
-    steps = [g for g in dict.fromkeys(gens) if g != 0]
-    table = G.table
-    seen = 1  # identity
-    frontier = [0]
-    while frontier:
-        row = table[frontier.pop()]
-        for g in steps:
-            c = row[g]
-            if not seen >> c & 1:
-                seen |= 1 << c
-                frontier.append(c)
-    return seen
+    """Subgroup generated by the given elements, as a bitmask: what
+    _spanning reaches from the identity with steps chosen among them."""
+    return _spanning(G.table, among=gens)[1]
 
 
 def is_subgroup(G: FiniteGroup, mask: ElementSet) -> bool:
-    """Whether the set M is a subgroup, decided on right products by the
-    elements S chosen from M by _spanning, whose right products reach
-    every element of M from the identity e: |M| |S| products with
-    |S| <= log2(n), where a scan of all pairs takes |M|^2.
-
-    If M holds e and ms lies in M for all m in M and s in S, then M is
-    closed under products: each b in M is a product s1 s2 ... sk of
-    elements of S, so ab = (...((a s1) s2) ...) sk stays in M step by
-    step. A finite nonempty subset of a group closed under products is a
-    subgroup (the inverse of a is a power of a), so no inverse is looked
-    up.
-    """
-    if not contains(mask, 0):
-        return False
-    ms = members(mask)
-    table = G.table
-    steps = _spanning(table, among=ms)
-    return all(mask >> table[a][s] & 1 for a in ms for s in steps)
+    """Whether the set is a subgroup: exactly when its members generate
+    the set itself. What _spanning reaches always holds the identity, so a
+    set without it fails too."""
+    return _spanning(G.table, among=members(mask))[1] == mask
 
 
 def subgroups(G: FiniteGroup) -> list[ElementSet]:
@@ -514,18 +491,7 @@ def _subgroup_lattice(G: FiniteGroup) -> Lattice:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_divisors(p) == [p]
 
 
 def prime_divisors(n: int) -> list[int]:

@@ -271,6 +271,13 @@ def centralizer(table, x: int) -> int:
     return sum(1 << g for g in range(len(table)) if table[g][x] == table[x][g])
 
 
+def sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Deterministic ordering of bitmasks: by size, then by the member
+    sequence."""
+    ms = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return (len(ms), tuple(ms))
+
+
 def generated_subgroup_bruteforce(table, gens) -> int:
     """Mask of the smallest subset holding 0 and gens that is closed under
     all products, grown by whole passes over pairs."""

@@ -10,7 +10,7 @@ from sbk.cauchy import (
     cauchy_report,
     find_subbrace_of_order,
     find_subbrace_with_strategy,
-    survey,
+    survey_order,
 )
 from sbk.enumeration import all_skew_braces
 from sbk.errors import NotPrime, PrimeDoesNotDivideOrder
@@ -252,13 +252,13 @@ def test_stable_sylow_can_be_missing():
 
 
 def test_survey_small_orders_all_pass():
-    rows = survey(7)
+    rows = [r for n in range(1, 8) for r in survey_order(n)]
     assert len(rows) == sum(all_skew_braces(n).count for n in range(1, 8))
     assert all(r.all_primes_witnessed for r in rows)
 
 
 def test_survey_rows_are_ordered():
-    rows = survey(6)
+    rows = [r for n in range(1, 7) for r in survey_order(n)]
     assert [(r.order, r.index) for r in rows] == sorted(
         (r.order, r.index) for r in rows
     )

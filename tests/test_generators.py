@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from sbk.bitset import full_mask, members, sort_key
+from sbk.bitset import full_mask, members
 from sbk.braces import (
     SkewBrace,
     assemble,
@@ -140,7 +140,8 @@ def _check_structure(B: SkewBrace, rng: random.Random, subs_of: dict) -> None:
     at, mt = B.add.table, B.mul.table
     lam = oracles._lambda_table(B)
     if at not in subs_of:
-        subs_of[at] = sorted(oracles.subgroups_bruteforce(at, list(B.add.inv)), key=sort_key)
+        brute = oracles.subgroups_bruteforce(at, list(B.add.inv))
+        subs_of[at] = sorted(brute, key=oracles.sort_key)
     subs = subs_of[at]
 
     assert subgroups(B.add) == subs
@@ -240,5 +241,5 @@ def test_analyze_reads_what_the_built_braces_give():
         for G in (B.add, B.mul):
             if G.table not in subs_of:
                 brute = oracles.subgroups_bruteforce(G.table, list(G.inv))
-                subs_of[G.table] = sorted(brute, key=sort_key)
+                subs_of[G.table] = sorted(brute, key=oracles.sort_key)
             assert subgroups(G) == subs_of[G.table]

@@ -19,6 +19,7 @@ from sbk.errors import (
 from sbk.enumeration import _product_rows
 from sbk.groups import (
     _cyclic_subgroups,
+    _is_prime,
     _spanning,
     alternating_group_4,
     automorphism_group,
@@ -379,26 +380,34 @@ def test_spanning_matches_the_double_walk():
     # groups and on tables that are not groups, relabeled too; on
     # subgroups and other sets holding 0 (among, as is_subgroup passes it);
     # and on the product rows of automorphism groups (e, as
-    # _orbit_representatives passes it)
+    # _orbit_representatives passes it). What they reach is the subgroup
+    # among generates on a group, and every index on a table whose row 0
+    # reads 0..n-1, as each x is reached once it is a step
     rng = random.Random("spanning")
     for G in _catalog_and_product_groups():
+        full = full_mask(G.n)
         tables = [G.table, *_corruptions(rng, G.table, 0), *_corruptions(rng, G.table, 1)]
         for table in tables:
             for t in (table, oracles.relabel(table, _random_labels(rng, G.n))):
-                assert _spanning(t) == oracles.spanning_by_double_walk(t), G
+                steps, reached = _spanning(t)
+                assert steps == oracles.spanning_by_double_walk(t), G
+                if list(t[0]) == list(G.elements()):
+                    assert reached == full, G
         if G.n > 15:
             continue
         # is_subgroup passes sets holding 0 that need not be subgroups
         masks = [1 | rng.getrandbits(G.n) for _ in range(5)]
         for mask in subgroups(G) + masks:
             ms = members(mask)
-            assert _spanning(G.table, among=ms) == oracles.spanning_by_double_walk(
-                G.table, among=ms
-            )
+            steps, reached = _spanning(G.table, among=ms)
+            assert steps == oracles.spanning_by_double_walk(G.table, among=ms)
+            assert reached == oracles.generated_subgroup_bruteforce(G.table, ms), G
         auts = automorphism_group(G)
         rows, index = _product_rows(auts)
         e = index[tuple(range(G.n))]
-        assert _spanning(rows, e) == oracles.spanning_by_double_walk(rows, e), G
+        steps, reached = _spanning(rows, e)
+        assert steps == oracles.spanning_by_double_walk(rows, e), G
+        assert reached == full_mask(len(auts)), G
 
 
 def test_subgroups_of_c2_5():
@@ -451,6 +460,11 @@ def test_sylow_empty_when_p_does_not_divide():
 def test_sylow_requires_prime():
     with pytest.raises(NotPrime):
         sylow_p(cyclic_group(6), 4)
+
+
+def test_is_prime_matches_a_divisor_scan():
+    for p in range(-3, 201):
+        assert _is_prime(p) == (p >= 2 and all(p % d for d in range(2, p))), p
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 12])
@@ -742,7 +756,7 @@ def test_a_load_spans_each_table_once(tmp_path, monkeypatch):
     monkeypatch.setattr(groups, "_spanning", counting)
     loaded = load_brace(str(path))
     tables = [loaded.add.table, loaded.mul.table]
-    assert [loaded.add.gens, loaded.mul.gens] == [_spanning(t) for t in tables]
+    assert [loaded.add.gens, loaded.mul.gens] == [_spanning(t)[0] for t in tables]
     assert [tuple(map(tuple, t)) for t in spans] == tables
 
 
@@ -758,4 +772,4 @@ def test_loaded_groups_keep_the_span_of_their_table(tmp_path):
     for path in paths:
         B = load_brace(str(path))
         for G in (B.add, B.mul):
-            assert G.gens == _spanning(G.table), path.name
+            assert G.gens == _spanning(G.table)[0], path.name

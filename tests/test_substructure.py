@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from sbk.bitset import contains, full_mask, mask_of, members, size, sort_key
+from sbk.bitset import contains, full_mask, mask_of, members, size
 from sbk.braces import classify, from_group, make_skew_brace, opposite, star
 from sbk.enumeration import all_skew_braces
 from sbk.errors import NotAnIdeal
@@ -65,7 +65,7 @@ def test_subbrace_carriers_match_double_closure():
 def test_subbrace_carriers_equal_the_intersection_of_both_lattices():
     for n in range(1, 13):
         for B in all_skew_braces(n).entries:
-            expected = sorted(set(subgroups(B.add)) & set(subgroups(B.mul)), key=sort_key)
+            expected = sorted(set(subgroups(B.add)) & set(subgroups(B.mul)), key=oracles.sort_key)
             assert subbrace_carriers(B) == expected
 
 

@@ -7,16 +7,23 @@ thin out the per-layer report of every traced run without an error. The
 tracer is read here from its file; nothing is written beside it.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
+import sbk
 from sbk import enumeration, serialize
 from sbk.braces import from_group
 from sbk.groups import automorphism_group
 from sbk.ybe import to_solution
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+
+# public names no module, __all__ or the tracer names
+CALLERLESS_API = {
+    "brace_from_obj",  # serialize's API for brace objects already decoded from JSON
+}
 
 
 def _layertrace():
@@ -54,3 +61,22 @@ def test_the_measured_results_have_the_traced_shapes():
         assert isinstance(text, str) and text.encode("utf-8")
         text = serialize.canonical_dumps(serialize.ybe_to_obj(to_solution(B)))
         assert isinstance(text, str) and text.encode("utf-8")
+
+
+def test_every_module_level_name_has_a_caller():
+    """Each function and class defined at module level in sbk is used
+    somewhere in sbk, exported by __all__, traced, or on CALLERLESS_API."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    used = set()
+    defined = []
+    for path in sorted(Path(sbk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        defined += [(path.stem, node.name) for node in tree.body if isinstance(node, defs)]
+    traced = {name for _, names in _layertrace().LAYERS.values() for name in names}
+    kept = used | set(sbk.__all__) | traced | CALLERLESS_API
+    assert [f"{module}.{name}" for module, name in defined if name not in kept] == []
