@@ -40,15 +40,16 @@ from .groups import (
 )
 from .substructure import (
     BraceCenters,
+    BraceStructure,
     QuotientBrace,
     brace_centers,
     brace_square,
     ideals,
-    is_ideal,
     is_soluble_brace,
     ker_lambda,
     minimal_ideals,
     quotient,
+    structure,
 )
 from .ybe import SolutionReport, YBEMap, check_solution, to_solution
 
@@ -58,6 +59,7 @@ __all__ = [
     "BraceCatalog",
     "BraceCenters",
     "BraceFlags",
+    "BraceStructure",
     "CauchyReport",
     "ElementSet",
     "FiniteGroup",
@@ -80,7 +82,6 @@ __all__ = [
     "full_mask",
     "groups_of_order",
     "ideals",
-    "is_ideal",
     "is_soluble_brace",
     "ker_lambda",
     "make_group",
@@ -91,6 +92,7 @@ __all__ = [
     "opposite",
     "quotient",
     "star",
+    "structure",
     "subgroups",
     "sylow_p",
     "to_solution",

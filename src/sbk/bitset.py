@@ -34,7 +34,3 @@ def size(mask: ElementSet) -> int:
 
 def full_mask(n: int) -> ElementSet:
     return (1 << n) - 1
-
-
-def contains(mask: ElementSet, i: int) -> bool:
-    return (mask >> i) & 1 == 1

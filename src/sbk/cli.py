@@ -33,16 +33,8 @@ from .braces import BraceFlags, classify
 from .cauchy import cauchy_report, survey_order
 from .enumeration import SUPPORTED_ORDERS, all_skew_braces
 from .errors import BadInput, SkewBraceKitError, UnsupportedOrder
-from .groups import center, prime_divisors
-from .substructure import (
-    _carrier_lattice,
-    _ideals_among,
-    _minimal,
-    _opposite_square,
-    _soluble_chain,
-    brace_square,
-    ker_lambda,
-)
+from .groups import prime_divisors
+from .substructure import _opposite_square, brace_square, ker_lambda, structure
 from .ybe import to_solution
 
 if TYPE_CHECKING:
@@ -77,31 +69,24 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
 
 def _analysis_obj(B) -> dict[str, Any]:
-    # one lattice per brace: the ideals, minimal ideals, simplicity, the
-    # solubility chain and whether Z(B,*) is an ideal are all read from
-    # the same carriers; every ideal is among them
-    carriers = _carrier_lattice(B)
-    ideal_lattice = _ideals_among(B, carriers)
-    ideal_list = list(ideal_lattice)
-    chain = _soluble_chain(B, ideal_lattice)
-    z_mul = center(B.mul)
+    s = structure(B)
     return {
         "order": B.n,
         "flags": classify(B).as_dict(),
-        "subbraces": list(carriers),
-        "ideals": ideal_list,
-        "minimal_ideals": _minimal(ideal_list),
+        "subbraces": list(s.subbraces),
+        "ideals": list(s.ideals),
+        "minimal_ideals": s.minimal_ideals,
         "centers": {
-            "add": center(B.add),
-            "mul": z_mul,
-            "mul_is_ideal": z_mul in ideal_lattice,
+            "add": s.centers.z_add,
+            "mul": s.centers.z_mul,
+            "mul_is_ideal": s.centers.z_mul_is_ideal,
         },
         "square": brace_square(B),
         "opposite_square": _opposite_square(B),
         "ker_lambda": ker_lambda(B),
-        "simple": len(ideal_list) == 2,
-        "soluble": chain is not None,
-        "solubility_chain": chain,
+        "simple": len(s.ideals) == 2,
+        "soluble": s.solubility_chain is not None,
+        "solubility_chain": s.solubility_chain,
     }
 
 
@@ -220,7 +205,7 @@ def _survey_order(n: int) -> list[dict[str, Any]]:
 def _run_per_order(n_max: int, workers: int, job) -> list[Any]:
     if workers < 1:
         raise BadInput(f"--workers must be at least 1, got {workers}")
-    if n_max > SUPPORTED_ORDERS[-1]:
+    if n_max not in SUPPORTED_ORDERS:
         raise UnsupportedOrder(n_max, SUPPORTED_ORDERS[-1])
     orders = list(range(1, n_max + 1))
     # the pool starts all its processes at once, so no more than there are jobs

@@ -388,10 +388,14 @@ def _orbit_representatives(
     automorphism indices (Holt, Eick and O'Brien, Handbook of Computational
     Group Theory, 2005, section 4.1). An orbit is grown from its first
     member in assignments, so assignments need not hold whole orbits.
+
+    auts is automorphism_group's sorted list, whose first entry is the
+    identity, the least permutation; so the product rows have their
+    identity at index 0, where _spanning starts.
     """
     rows, index = _product_rows(auts)
     actions = []
-    for f in _spanning(rows, index[tuple(range(len(auts[0])))])[0]:
+    for f in _spanning(rows)[0]:
         phi = auts[f]
         inv = [0] * len(phi)
         for x, y in enumerate(phi):

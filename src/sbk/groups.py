@@ -18,12 +18,12 @@ whole table, as every element of that closure is then a product of
 elements of N. _spanning picks such an S, of at most log2(n) elements
 for a group, and make_group tests i over S: O(n^2 |S|) work in place of
 n^3. _spanning also returns the set it reaches, which on a group is the
-subgroup its candidates generate; generated_subgroup and is_subgroup
-read that set, so one closure walk serves all three.
+subgroup its candidates generate; generated_subgroup reads that set,
+so one closure walk serves both.
 The same argument decides normality: the g with gHg^-1 in H are closed
-under products, so is_normal tests only the group's generators. So does
-center: the centralizer of g is a subgroup, so g is central once it
-commutes with every generator, and the centre is the intersection of
+under products, so _conjugates_inside tests only the group's generators.
+So does center: the centralizer of g is a subgroup, so g is central once
+it commutes with every generator, and the centre is the intersection of
 the generators' centralizers, one bitmask each. The brace layer decides
 its tests the same way, on generators of (B,*) through lambda_(a*b) =
 lambda_a lambda_b and on generators of a subgroup through the
@@ -302,36 +302,36 @@ def _raise_first_violation(flat: bytes) -> NoReturn:
 
 
 def _spanning(
-    table: Sequence[Sequence[int]], e: int = 0, among: Optional[Iterable[int]] = None
+    table: Sequence[Sequence[int]], among: Optional[Iterable[int]] = None
 ) -> tuple[tuple[int, ...], ElementSet]:
     """(steps, reached): elements whose right products, starting from the
-    identity e, reach every index of the table, and the bitmask of what
+    identity 0, reach every index of the table, and the bitmask of what
     they reach. When among is given the steps are chosen from it; on a
     group, reached is then the subgroup among generates.
 
     Greedy: the least index not reached yet is the next step. In a group
     the reached set is a subgroup, which each new step at least doubles,
     so at most log2(n) steps are chosen. On any other table with identity
-    e up to n may be, and they still reach every index. On a group each
+    0 up to n may be, and they still reach every index. On a group each
     element of among is either a step or already reached, so reached holds
-    among and is the closure of {e} under right products by elements of
+    among and is the closure of {0} under right products by elements of
     among; in a finite group every inverse is a positive power, so reached
     is the subgroup among generates.
 
     Each product of a reached element by a step is read once, on any
     table, group or not. The reached set R is closed under right products
-    by the earlier steps S: so it is at the start, when R = {e} and S is
+    by the earlier steps S: so it is at the start, when R = {0} and S is
     empty, and so it stays. When x becomes a step, R is walked with x
     alone, and each element this adds is walked with every step of S and
     x, as is each element that walk adds in turn. Then every r in R has rs
     in R for s in S and rx walked, and every new element has all its
     products walked, so the union is closed under S and x. It holds only
-    products of e by S and x, so it is their closure, and the same closure
+    products of 0 by S and x, so it is their closure, and the same closure
     as walking all of it with every step: the greedy steps are the same.
     """
     steps: list[int] = []
-    seen = 1 << e
-    reached = [e]
+    seen = 1
+    reached = [0]
     for x in range(len(table)) if among is None else among:
         if seen >> x & 1:
             continue
@@ -387,13 +387,6 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> ElementSet:
     """Subgroup generated by the given elements, as a bitmask: what
     _spanning reaches from the identity with steps chosen among them."""
     return _spanning(G.table, among=gens)[1]
-
-
-def is_subgroup(G: FiniteGroup, mask: ElementSet) -> bool:
-    """Whether the set is a subgroup: exactly when its members generate
-    the set itself. What _spanning reaches always holds the identity, so a
-    set without it fails too."""
-    return _spanning(G.table, among=members(mask))[1] == mask
 
 
 def subgroups(G: FiniteGroup) -> list[ElementSet]:
@@ -536,17 +529,12 @@ def center(G: FiniteGroup) -> ElementSet:
     return out
 
 
-def is_normal(G: FiniteGroup, mask: ElementSet) -> bool:
-    """Whether gHg^-1 lies in H for every g. The g for which it does are
-    closed under products, (gh)H(gh)^-1 = g(hHh^-1)g^-1, so testing the
-    generators in G.gens decides it."""
-    return _conjugates_inside(G, mask, members(mask))
-
-
 def _conjugates_inside(G: FiniteGroup, mask: ElementSet, xs: Iterable[int]) -> bool:
     """Whether gxg^-1 lies in the mask for every g in G.gens and x in xs.
-    With xs the members, this is is_normal. With xs generating the
-    subgroup mask it decides the same, since conjugation by g is an
+    With xs the members of a subgroup H, this is whether H is normal: the
+    g with gHg^-1 in H are closed under products, (gh)H(gh)^-1 =
+    g(hHh^-1)g^-1, so the generators in G.gens decide it. With xs
+    generating H it decides the same, since conjugation by g is an
     automorphism and maps <xs> into the mask once it maps xs there."""
     table = G.table
     inv = G.inv

@@ -4,6 +4,13 @@ An ideal is a subbrace that is invariant under every lambda map and normal
 in both groups; the quotient of a brace by an ideal is again a brace on
 the cosets, with a + I = a * I.
 
+structure(B) computes the subbraces, ideals, minimal ideals, centres and
+solubility chain of B once, from one lattice of additive subgroups: the
+subbraces are filtered from it, and the ideals from the subbraces, by the
+one ideal test here. subbrace_carriers, ideals, minimal_ideals,
+brace_centers and is_soluble_brace read it, and quotient checks its mask
+against its ideals.
+
 The tests are decided on generators, by two facts. First, a -> lambda_a
 is a homomorphism from (B,*) (Guarnieri and Vendramin, Math. Comp. 86
 (2017), Prop. 1.9), so the a with lambda_a(M) inside M are closed under *
@@ -16,25 +23,24 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .bitset import ElementSet, contains, full_mask, mask_of, members
-from .braces import SkewBrace, _brace, is_almost_trivial, is_trivial, star
+from .bitset import ElementSet, full_mask, mask_of, members
+from .braces import SkewBrace, _brace, star
 from .errors import NotAnIdeal
-from .groups import (
-    Lattice,
-    _conjugates_inside,
-    _group,
-    _subgroup_lattice,
-    center,
-    is_normal,
-    is_subgroup,
-    normal_closure,
-)
+from .groups import Lattice, _conjugates_inside, _group, _subgroup_lattice, center, normal_closure
 
 
 class BraceCenters(NamedTuple):
     z_add: ElementSet
     z_mul: ElementSet
     z_mul_is_ideal: bool
+
+
+class BraceStructure(NamedTuple):
+    subbraces: Lattice
+    ideals: Lattice
+    minimal_ideals: list[ElementSet]
+    centers: BraceCenters
+    solubility_chain: Optional[list[ElementSet]]
 
 
 class QuotientBrace(NamedTuple):
@@ -46,7 +52,7 @@ class QuotientBrace(NamedTuple):
 def subbrace_carriers(B: SkewBrace) -> list[ElementSet]:
     """Subsets that are subgroups of both operations at once, in the
     order of `subgroups`."""
-    return list(_carrier_lattice(B))
+    return list(structure(B).subbraces)
 
 
 def _carrier_lattice(B: SkewBrace) -> Lattice:
@@ -93,64 +99,55 @@ def _abelian_modulo(B: SkewBrace, ideal: ElementSet, gens: Iterable[int], ms: li
     )
 
 
-def is_lambda_invariant(B: SkewBrace, mask: ElementSet) -> bool:
-    """Whether every lambda map sends the set into itself, decided on a in
-    B.mul.gens. Each lambda map is a bijection, so mapping the set into
-    itself is mapping it onto itself."""
-    return _lambda_maps_inside(B, mask, members(mask))
-
-
-def _lambda_maps_inside(B: SkewBrace, mask: ElementSet, xs: Iterable[int]) -> bool:
-    """Whether lambda_a(x) lies in the mask for a in B.mul.gens and x in
-    xs: is_lambda_invariant when xs are the members, and also when xs
-    generate the additive subgroup mask, as each lambda_a is additive."""
-    lam = B.lam
-    return all(mask >> lam[a][x] & 1 for a in B.mul.gens for x in xs)
-
-
-def is_ideal(B: SkewBrace, mask: ElementSet) -> bool:
-    """Definitional test: subgroup of both operations, lambda invariant,
-    normal in both groups."""
-    if not contains(mask, 0):
-        return False
-    if not (is_subgroup(B.add, mask) and is_subgroup(B.mul, mask)):
-        return False
-    if not is_lambda_invariant(B, mask):
-        return False
-    return is_normal(B.add, mask) and is_normal(B.mul, mask)
-
-
 def _ideals_among(B: SkewBrace, carriers: Lattice) -> Lattice:
     """The ideals among the subbrace carriers of _carrier_lattice, in
-    order: is_ideal without the subgroup tests, which the carriers already
-    pass. Lambda invariance and normality in (B,+) are decided on the
-    carrier's additive generators, normality in (B,*) on its members."""
+    order: the carriers that every lambda map sends into themselves and
+    that are normal in both groups. Lambda invariance is decided on
+    lambda_a with a in B.mul.gens, applied to the carrier's additive
+    generators; normality in (B,+) on those generators too, and normality
+    in (B,*) on the carrier's members."""
+    lam = B.lam
     return {
         m: (gens, ms)
         for m, (gens, ms) in carriers.items()
-        if _lambda_maps_inside(B, m, gens)
+        if all(m >> lam[a][x] & 1 for a in B.mul.gens for x in gens)
         and _conjugates_inside(B.add, m, gens)
         and _conjugates_inside(B.mul, m, ms)
     }
 
 
+def structure(B: SkewBrace) -> BraceStructure:
+    """The subbraces, ideals, minimal ideals, centres and solubility chain
+    of B, each computed once from the one additive subgroup lattice. Every
+    ideal is a subbrace, so the ideals are filtered from the carriers.
+
+    The minimal ideals are the minimal nonzero ones. The ideals go by
+    size, so a nonzero ideal holding another holds a minimal one listed
+    before it."""
+    carriers = _carrier_lattice(B)
+    ideal_lattice = _ideals_among(B, carriers)
+    minimal: list[ElementSet] = []
+    for m in ideal_lattice:
+        if m != 1 and not any(k & ~m == 0 for k in minimal):
+            minimal.append(m)
+    z_mul = center(B.mul)
+    return BraceStructure(
+        subbraces=carriers,
+        ideals=ideal_lattice,
+        minimal_ideals=minimal,
+        centers=BraceCenters(
+            z_add=center(B.add), z_mul=z_mul, z_mul_is_ideal=z_mul in ideal_lattice
+        ),
+        solubility_chain=_soluble_chain(B, ideal_lattice),
+    )
+
+
 def ideals(B: SkewBrace) -> list[ElementSet]:
-    return list(_ideals_among(B, _carrier_lattice(B)))
+    return list(structure(B).ideals)
 
 
 def minimal_ideals(B: SkewBrace) -> list[ElementSet]:
-    return _minimal(ideals(B))
-
-
-def _minimal(ideal_list: list[ElementSet]) -> list[ElementSet]:
-    """The minimal nonzero ideals among ideal_list, which is ideals(B).
-    The list goes by size, so a nonzero ideal holding another holds a
-    minimal one listed before it."""
-    minimal: list[ElementSet] = []
-    for m in ideal_list:
-        if m != 1 and not any(k & ~m == 0 for k in minimal):
-            minimal.append(m)
-    return minimal
+    return structure(B).minimal_ideals
 
 
 def quotient(B: SkewBrace, ideal_mask: ElementSet) -> QuotientBrace:
@@ -158,7 +155,7 @@ def quotient(B: SkewBrace, ideal_mask: ElementSet) -> QuotientBrace:
     index of each coset, ordered by representative. The quotient by an
     ideal is a skew brace (Guarnieri and Vendramin, Math. Comp. 86 (2017),
     section 2), so only the caller's mask is checked."""
-    if not is_ideal(B, ideal_mask):
+    if ideal_mask not in structure(B).ideals:
         raise NotAnIdeal(ideal_mask)
     n = B.n
     at = B.add.table
@@ -236,33 +233,25 @@ def ker_lambda(B: SkewBrace) -> ElementSet:
 
 
 def brace_centers(B: SkewBrace) -> BraceCenters:
-    z_mul = center(B.mul)
-    return BraceCenters(
-        z_add=center(B.add),
-        z_mul=z_mul,
-        z_mul_is_ideal=is_ideal(B, z_mul),
-    )
+    return structure(B).centers
 
 
 def is_soluble_brace(B: SkewBrace) -> Optional[list[ElementSet]]:
+    return structure(B).solubility_chain
+
+
+def _soluble_chain(B: SkewBrace, ideal_list: Lattice) -> Optional[list[ElementSet]]:
     """A witness chain of ideals 0 = I_0 <= ... <= I_k = B whose successive
-    quotients are abelian braces, or None.
+    quotients are abelian braces, or None; ideal_list is
+    _ideals_among(B, _carrier_lattice(B)).
 
     From I = {0} on: if B/I is an abelian brace, B ends the chain;
-    otherwise the next step is the first ideal J of ideals(B) strictly
+    otherwise the next step is the first ideal J of ideal_list strictly
     holding I with J/I an abelian brace, and None if there is none.
     Solubility passes to quotients, so the first such J decides, and the
     first nonzero ideal of any witness chain of B/I is such a J/I. That J
     is minimal among the ideals above I: an ideal K with I < K < J is
     smaller, so listed first, and K/I is abelian since J/I is.
-    """
-    return _soluble_chain(B, None)
-
-
-def _soluble_chain(B: SkewBrace, ideal_list: Optional[Lattice]) -> Optional[list[ElementSet]]:
-    """is_soluble_brace, given _ideals_among(B, _carrier_lattice(B)) or
-    None; an abelian brace needs no ideals, so None leaves them to be
-    computed only when needed.
 
     It is the same search as on the quotient brace B/I built by
     `quotient`, read off the ideals of B alone:
@@ -284,12 +273,8 @@ def _soluble_chain(B: SkewBrace, ideal_list: Optional[Lattice]) -> Optional[list
     if B.n == 1:
         return [1]
     full = full_mask(B.n)
-    if is_trivial(B) and is_almost_trivial(B):  # an abelian brace
-        return [1, full]
-    if ideal_list is None:
-        ideal_list = _ideals_among(B, _carrier_lattice(B))
-    chain = [1]  # B/{0} is B, not an abelian brace
-    while True:
+    chain = [1]
+    while not _abelian_modulo(B, chain[-1], *ideal_list[full]):
         below = chain[-1]
         for m, (gens, ms) in ideal_list.items():
             if m != below and below & ~m == 0 and _abelian_modulo(B, below, gens, ms):
@@ -297,5 +282,4 @@ def _soluble_chain(B: SkewBrace, ideal_list: Optional[Lattice]) -> Optional[list
         else:
             return None
         chain.append(m)
-        if _abelian_modulo(B, m, *ideal_list[full]):
-            return chain + [full]
+    return chain + [full]

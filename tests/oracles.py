@@ -289,12 +289,13 @@ def generated_subgroup_bruteforce(table, gens) -> int:
         seen = grown
 
 
-def spanning_by_double_walk(table, e: int = 0, among=None) -> tuple[int, ...]:
-    """groups._spanning as it was first written: the greedy steps, each
-    new step walking every reached element again with every step."""
+def spanning_by_double_walk(table, among=None) -> tuple[int, ...]:
+    """groups._spanning as it was first written: the greedy steps from
+    the identity 0, each new step walking every reached element again
+    with every step."""
     steps: list[int] = []
-    seen = 1 << e
-    reached = [e]
+    seen = 1
+    reached = [0]
     for x in range(len(table)) if among is None else among:
         if seen >> x & 1:
             continue

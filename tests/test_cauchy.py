@@ -21,12 +21,7 @@ from sbk.groups import (
     prime_divisors,
     sylow_p,
 )
-from sbk.substructure import (
-    is_lambda_invariant,
-    is_soluble_brace,
-    ker_lambda,
-    subbrace_carriers,
-)
+from sbk.substructure import is_soluble_brace, ker_lambda, subbrace_carriers
 
 import oracles
 from test_generators import groups_of_order_16
@@ -197,8 +192,12 @@ def test_soluble_with_nilpotent_multiplication_implies_witnesses():
 
 def _stable_sylow(B, p):
     """The first Sylow p-subgroup of (B,+) that every lambda map sends into
-    itself, or None."""
-    return next((P for P in sylow_p(B.add, p) if is_lambda_invariant(B, P)), None)
+    itself, or None; every lambda map is tried on every member."""
+    lam = oracles._lambda_table(B)
+    for P in sylow_p(B.add, p):
+        if all(P >> lam[a][x] & 1 for a in range(B.n) for x in members(P)):
+            return P
+    return None
 
 
 def test_stable_sylow_on_trivial_braces():

@@ -515,14 +515,21 @@ def test_pool_is_no_larger_than_the_job_count(capsys, monkeypatch):
         assert main([cmd, "3", "--json", "--workers", "8"]) == 0
         assert capsys.readouterr().out == inline
     assert sizes == [3, 3]
-    # one job or none runs in this process
+    # one job runs in this process
     assert main(["survey", "1", "--workers", "8"]) == 0
-    assert main(["survey", "0", "--workers", "8"]) == 0
-    assert capsys.readouterr().out.endswith(
-        "order  index  trivial  almost  abelian  two-sided  bi-skew  witnessed\n"
-        "0 braces surveyed, 0 without a full witness set\n"
-    )
+    assert capsys.readouterr().out.endswith("1 braces surveyed, 0 without a full witness set\n")
     assert sizes == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "argv", [["survey", "0"], ["survey", "-3"], ["harness", "0"], ["enumerate", "0"]]
+)
+def test_orders_below_one_are_one_error_line(argv, capsys):
+    # every command that takes an order refuses one below the range alike
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: order {argv[1]} is outside the supported range 1..15\n"
 
 
 def test_zero_workers_is_an_error(capsys):

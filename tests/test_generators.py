@@ -1,16 +1,17 @@
 """Property tests of the structure tests decided on generators.
 
-subgroups joins by right cosets; subbrace_carriers, is_lambda_invariant,
-center and brace_square decide their tests on generating sets; assemble decides the compatibility law on
-generators of both groups. Each is checked here against its definition,
-from raw tables or tests/oracles.py, on a seeded relabeling of every
-catalog brace through order 15 and of its opposite, and of the trivial and
-almost trivial braces on the 14 groups of order 16. The law and the
-two-sided and bi-skew flags are checked on every (add, mul) pair of
-group tables of the catalog braces of one order, through order 8. What
-analyze reads without building the opposite brace, or testing the centre
-as an ideal, is checked against what it reads off those, and its bi-skew
-flag against the full compatibility scan of the swapped operations.
+subgroups joins by right cosets; subbrace_carriers, the ideals of
+structure, center and brace_square decide their tests on generating sets;
+assemble decides the compatibility law on generators of both groups. Each
+is checked here against its definition, from raw tables or
+tests/oracles.py, on a seeded relabeling of every catalog brace through
+order 15 and of its opposite, and of the trivial and almost trivial braces
+on the 14 groups of order 16. The law and the two-sided and bi-skew flags
+are checked on every (add, mul) pair of group tables of the catalog braces
+of one order, through order 8. What analyze reads without building the
+opposite brace is checked against what it reads off it, whether the
+centre of (B,*) is an ideal against the star oracle, and its bi-skew flag
+against the full compatibility scan of the swapped operations.
 """
 
 import random
@@ -42,13 +43,7 @@ from sbk.groups import (
     subgroups,
     table_isomorphisms,
 )
-from sbk.substructure import (
-    _opposite_square,
-    brace_square,
-    is_ideal,
-    is_lambda_invariant,
-    subbrace_carriers,
-)
+from sbk.substructure import _opposite_square, brace_square, structure, subbrace_carriers
 
 import oracles
 from test_golden import product_braces
@@ -138,7 +133,6 @@ def _center_by_definition(table) -> int:
 def _check_structure(B: SkewBrace, rng: random.Random, subs_of: dict) -> None:
     n = B.n
     at, mt = B.add.table, B.mul.table
-    lam = oracles._lambda_table(B)
     if at not in subs_of:
         brute = oracles.subgroups_bruteforce(at, list(B.add.inv))
         subs_of[at] = sorted(brute, key=oracles.sort_key)
@@ -152,9 +146,9 @@ def _check_structure(B: SkewBrace, rng: random.Random, subs_of: dict) -> None:
 
     # subgroups and random subsets, empty and full among them
     masks = subs + [rng.getrandbits(n) for _ in range(8)] + [0, full_mask(n)]
+    found = structure(B).ideals
     for m in masks:
-        ms = members(m)
-        assert is_lambda_invariant(B, m) == all(m >> lam[a][x] & 1 for a in range(n) for x in ms)
+        assert (m in found) == oracles.star_ideal_oracle(B, m)
 
     assert center(B.add) == _center_by_definition(at)
     assert center(B.mul) == _center_by_definition(mt)
@@ -231,7 +225,7 @@ def test_analyze_reads_what_the_built_braces_give():
     for B in _analysis_braces():
         assert _opposite_square(B) == brace_square(opposite(B))
         obj = _analysis_obj(B)
-        assert obj["centers"]["mul_is_ideal"] == is_ideal(B, center(B.mul))
+        assert obj["centers"]["mul_is_ideal"] == oracles.star_ideal_oracle(B, center(B.mul))
         assert obj["opposite_square"] == brace_square(opposite(B))
         assert classify(B).bi_skew == oracles.left_compatible(B.mul.table, B.add.table)
         for G in (B.add, B.mul):

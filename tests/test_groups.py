@@ -30,7 +30,6 @@ from sbk.groups import (
     direct_product,
     element_order,
     generated_subgroup,
-    is_subgroup,
     make_group,
     subgroups,
     sylow_p,
@@ -339,7 +338,8 @@ def test_is_subgroup_matches_bruteforce(n):
             masks += [rng.getrandbits(n) for _ in range(300)]
             masks += [rng.getrandbits(n) | 1 for _ in range(300)]
         for mask in masks:
-            assert is_subgroup(G, mask) == (mask in expected), (G.name, members(mask))
+            is_subgroup = generated_subgroup(G, members(mask)) == mask
+            assert is_subgroup == (mask in expected), (G.name, members(mask))
 
 
 def _c2_power(k):
@@ -378,9 +378,9 @@ def test_cyclic_subgroups_are_the_generated_ones():
 def test_spanning_matches_the_double_walk():
     # the greedy steps of the single walk are those of the double walk on
     # groups and on tables that are not groups, relabeled too; on
-    # subgroups and other sets holding 0 (among, as is_subgroup passes it);
-    # and on the product rows of automorphism groups (e, as
-    # _orbit_representatives passes it). What they reach is the subgroup
+    # subgroups and other sets holding 0 (among, as generated_subgroup
+    # passes it); and on the product rows of automorphism groups, as
+    # _orbit_representatives passes them. What they reach is the subgroup
     # among generates on a group, and every index on a table whose row 0
     # reads 0..n-1, as each x is reached once it is a step
     rng = random.Random("spanning")
@@ -395,7 +395,7 @@ def test_spanning_matches_the_double_walk():
                     assert reached == full, G
         if G.n > 15:
             continue
-        # is_subgroup passes sets holding 0 that need not be subgroups
+        # sets holding 0 that need not be subgroups, as a subgroup test does
         masks = [1 | rng.getrandbits(G.n) for _ in range(5)]
         for mask in subgroups(G) + masks:
             ms = members(mask)
@@ -403,11 +403,21 @@ def test_spanning_matches_the_double_walk():
             assert steps == oracles.spanning_by_double_walk(G.table, among=ms)
             assert reached == oracles.generated_subgroup_bruteforce(G.table, ms), G
         auts = automorphism_group(G)
-        rows, index = _product_rows(auts)
-        e = index[tuple(range(G.n))]
-        steps, reached = _spanning(rows, e)
-        assert steps == oracles.spanning_by_double_walk(rows, e), G
+        rows, _ = _product_rows(auts)
+        steps, reached = _spanning(rows)
+        assert steps == oracles.spanning_by_double_walk(rows), G
         assert reached == full_mask(len(auts)), G
+
+
+def test_automorphism_groups_list_the_identity_first():
+    # _orbit_representatives starts _spanning at index 0 of the product
+    # rows of automorphism_group's sorted list: the identity, the least
+    # permutation. The additive group of the order-64 product is left
+    # out, as its automorphism group is too large to list in a test.
+    order_64_add = next(B.add for _, B in product_braces() if B.n == 64)
+    for G in _catalog_and_product_groups():
+        if G != order_64_add:
+            assert automorphism_group(G)[0] == tuple(range(G.n)), G
 
 
 def test_subgroups_of_c2_5():

@@ -80,3 +80,8 @@ def test_every_module_level_name_has_a_caller():
     traced = {name for _, names in _layertrace().LAYERS.values() for name in names}
     kept = used | set(sbk.__all__) | traced | CALLERLESS_API
     assert [f"{module}.{name}" for module, name in defined if name not in kept] == []
+
+
+def test_every_exported_name_resolves():
+    """A name deleted from sbk but left in __all__ breaks `from sbk import *`."""
+    assert [name for name in sbk.__all__ if not hasattr(sbk, name)] == []
