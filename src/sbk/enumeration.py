@@ -19,9 +19,9 @@ generators of Aut(G), chosen by the greedy routine that chooses a group's
 generators, groups._spanning. These orbits are exactly the isomorphism
 classes of braces with additive group G (Guarnieri and Vendramin, Math.
 Comp. 86 (2017), section 4), so no representative is compared with
-another. Through order 8 the blocks are ordered by a canonical table of
-the multiplicative group, its least relabeling, found by branch and bound
-pruned by the group's automorphisms.
+another. Through order 8 each block is sorted by the type of its
+multiplicative group, in a fixed ranking of the types: the order of
+their canonical tables, _TYPE_RANKING.
 """
 
 from __future__ import annotations
@@ -113,6 +113,12 @@ def groups_of_order(n: int) -> list[FiniteGroup]:
     raise UnsupportedOrder(n, SUPPORTED_ORDERS[-1])  # pragma: no cover
 
 
+# The multiplicative types through order 8, as indices into groups_of_order(n),
+# in the order of their canonical tables (a test checks it by brute force).
+# The other orders up to 8 have one group; past 8 blocks keep search order.
+_TYPE_RANKING = {4: (1, 0), 6: (0, 1), 8: (2, 1, 3, 0, 4)}
+
+
 class _Products(dict):
     """p o auts[j] as an index, under the key j: one row of the product
     table of auts, whose rows share index and the getters, getters[j](p)
@@ -135,8 +141,10 @@ class _Products(dict):
         return r
 
 
-def _product_rows(auts: Sequence[Perm]) -> tuple[list[_Products], dict[Perm, int]]:
-    """Rows amul[i][j] = auts[i] o auts[j], and the index they share.
+def _product_rows(auts: Sequence[Perm]) -> tuple[list[_Products], list[int]]:
+    """(rows, inverse): rows[i][j] = auts[i] o auts[j] and inverse[i] = the
+    index of auts[i]^-1, the one place where automorphisms are composed and
+    inverted, so the one holder of their index.
 
     p o q is one itemgetter over p, built once per q. At order 1 an
     itemgetter returns a scalar, not a 1-tuple; there the one automorphism
@@ -146,7 +154,13 @@ def _product_rows(auts: Sequence[Perm]) -> tuple[list[_Products], dict[Perm, int
         getters: list[Callable[[Perm], Perm]] = [tuple]
     else:
         getters = [itemgetter(*q) for q in auts]
-    return [_Products(p, getters, index) for p in auts], index
+    inverse = []
+    q = list(auts[0])
+    for p in auts:
+        for x, y in enumerate(p):
+            q[y] = x
+        inverse.append(index[tuple(q)])
+    return [_Products(p, getters, index) for p in auts], inverse
 
 
 def _regular_assignments(
@@ -154,7 +168,8 @@ def _regular_assignments(
 ) -> list[tuple[int, ...]]:
     """Maps shift -> automorphism index whose graph is a regular subgroup
     of Hol(G), at least one in every Aut(G)-orbit, in lexicographic search
-    order.
+    order. auts is automorphism_group's sorted list, so auts[0] is the
+    identity, the least permutation.
 
     propagate multiplies each assigned pair on the right only by the
     steps, the pairs placed at branch points on this branch. That is
@@ -183,14 +198,7 @@ def _regular_assignments(
     """
     n = G.n
     add = G.table
-    amul, index = _product_rows(auts)
-    id_idx = index[tuple(range(n))]
-    inverse = []
-    for p in auts:
-        q = [0] * n
-        for x, y in enumerate(p):
-            q[y] = x
-        inverse.append(index[tuple(q)])
+    amul, inverse = _product_rows(auts)
 
     # Every non-identity element of a regular subgroup moves every point,
     # so each shift only admits automorphisms giving a fixed-point-free map.
@@ -202,7 +210,7 @@ def _regular_assignments(
         for a in range(1, n):
             if a not in fixing:
                 candidates[a].add(i)
-    candidates[0] = {id_idx}
+    candidates[0] = {0}
 
     results: list[tuple[int, ...]] = []
 
@@ -263,7 +271,7 @@ def _regular_assignments(
                 backtrack(trial, known2, steps2, centralizer)
 
     init = [-1] * n
-    init[0] = id_idx
+    init[0] = 0
     backtrack(init, [0], [], list(range(len(auts))))
     return results
 
@@ -285,7 +293,9 @@ def canonical_table(
 ) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least relabeling of the table over all
     permutations fixing 0. auts are automorphisms of the table that form a
-    group: all of them, or any subgroup, [tuple(range(n))] at least.
+    group: all of them, or any subgroup, [tuple(range(n))] at least. No
+    command calls it: the catalog sorts its blocks by _TYPE_RANKING, the
+    order these tables give.
 
     A branch and bound on the first row that a relabeling can change: row
     1 when row 0 is the identity, as in a group table, else row 0. That row
@@ -385,23 +395,20 @@ def _orbit_representatives(
     f in Aut(G) sends an assignment a -> alpha_a to f(a) -> f o alpha_a o
     f^-1. The orbits are found by breadth-first search over a few
     generators of Aut(G), each acting through one conjugation table on
-    automorphism indices (Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 2005, section 4.1). An orbit is grown from its first
-    member in assignments, so assignments need not hold whole orbits.
+    automorphism indices, read off the product rows (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
+    An orbit is grown from its first member in assignments, so assignments
+    need not hold whole orbits.
 
     auts is automorphism_group's sorted list, whose first entry is the
     identity, the least permutation; so the product rows have their
     identity at index 0, where _spanning starts.
     """
-    rows, index = _product_rows(auts)
+    rows, inverse = _product_rows(auts)
     actions = []
     for f in _spanning(rows)[0]:
-        phi = auts[f]
-        inv = [0] * len(phi)
-        for x, y in enumerate(phi):
-            inv[y] = x
-        conj = [index[tuple(phi[p[x]] for x in inv)] for p in auts]
-        actions.append((phi, conj))
+        row_f, inv_f = rows[f], inverse[f]
+        actions.append((auts[f], [rows[row_f[p]][inv_f] for p in range(len(auts))]))
 
     seen: set[tuple[int, ...]] = set()
     reps: list[tuple[int, ...]] = []
@@ -444,32 +451,21 @@ def all_skew_braces(n: int) -> BraceCatalog:
     """Catalog of all skew braces of order n up to isomorphism, for n in
     SUPPORTED_ORDERS; built once per order."""
     groups = groups_of_order(n)
-    auts_of = [automorphism_group(G) for G in groups]
-    # Through order 8 each additive block is ordered by the canonical table
-    # of its multiplicative group's type, one per group of order n; ties
-    # keep search order.
-    canon = (
-        [canonical_table(H.table, auts) for H, auts in zip(groups, auts_of)]
-        if n <= 8
-        else []
-    )
-
     # isomorphic groups share their sorted order profile, and the groups of
     # each supported order have pairwise distinct ones (a test pins this),
-    # so the profile of a brace's multiplicative group names its type
-    canon_of = {_sorted_profile(H, n): c for H, c in zip(groups, canon)}
-
-    def mul_type_key(b: SkewBrace) -> tuple[tuple[int, ...], ...]:
-        return canon_of[_sorted_profile(b.mul, n)]
+    # so the profile of a brace's multiplicative group names its type;
+    # ties keep search order
+    rank = {_sorted_profile(groups[g], n): r for r, g in enumerate(_TYPE_RANKING.get(n, ()))}
 
     entries: list[SkewBrace] = []
     provenance: list[int] = []
-    for gi, (G, auts) in enumerate(zip(groups, auts_of)):
+    for gi, G in enumerate(groups):
+        auts = automorphism_group(G)
         assignments = _regular_assignments(G, auts)
         reps = _orbit_representatives(assignments, auts)
         kept = [_brace_from_assignment(G, auts, assign) for assign in reps]
-        if canon:
-            kept.sort(key=mul_type_key)
+        if rank:
+            kept.sort(key=lambda b: rank[_sorted_profile(b.mul, n)])
         entries.extend(kept)
         provenance.extend([gi] * len(kept))
     return BraceCatalog(
@@ -478,4 +474,3 @@ def all_skew_braces(n: int) -> BraceCatalog:
         group_names=tuple(G.name for G in groups),
         provenance=tuple(provenance),
     )
-

@@ -751,11 +751,10 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, name: str = "") -> FiniteGrou
     return _group(table, name=name or f"{G.name}x{H.name}")
 
 
-def dihedral_group(order: int) -> FiniteGroup:
-    """Dihedral group of the given even order >= 6 (rotations then
-    reflections)."""
-    if order % 2 != 0 or order < 6:
-        raise ValueError(f"dihedral order must be even and >= 6, got {order}")
+def _cyclic_by_inversion(order: int, shift: int, name: str) -> FiniteGroup:
+    """The group <r, s> of the given even order with r of order m =
+    order/2, s r s^-1 = r^-1 and s^2 = r^shift: i is r^i and m + i is
+    r^i s."""
     m = order // 2
     table = [[0] * order for _ in range(order)]
     for i in range(m):
@@ -763,24 +762,23 @@ def dihedral_group(order: int) -> FiniteGroup:
             table[i][j] = (i + j) % m
             table[i][m + j] = m + (i + j) % m
             table[m + i][j] = m + (i - j) % m
-            table[m + i][m + j] = (i - j) % m
-    return _group(table, name=f"D{order}")
+            table[m + i][m + j] = (i - j + shift) % m
+    return _group(table, name=name)
+
+
+def dihedral_group(order: int) -> FiniteGroup:
+    """Dihedral group of the given even order >= 6 (rotations then
+    reflections)."""
+    if order % 2 != 0 or order < 6:
+        raise ValueError(f"dihedral order must be even and >= 6, got {order}")
+    return _cyclic_by_inversion(order, 0, f"D{order}")
 
 
 def dicyclic_group(order: int) -> FiniteGroup:
     """Dicyclic group of order 4m (quaternion group for order 8)."""
     if order % 4 != 0 or order < 8:
         raise ValueError(f"dicyclic order must be a multiple of 4 and >= 8, got {order}")
-    m = order // 4
-    two_m = 2 * m
-    table = [[0] * order for _ in range(order)]
-    for i in range(two_m):
-        for j in range(two_m):
-            table[i][j] = (i + j) % two_m
-            table[i][two_m + j] = two_m + (i + j) % two_m
-            table[two_m + i][j] = two_m + (i - j) % two_m
-            table[two_m + i][two_m + j] = (i - j + m) % two_m
-    return _group(table, name=f"Q{order}")
+    return _cyclic_by_inversion(order, order // 4, f"Q{order}")
 
 
 def alternating_group_4() -> FiniteGroup:

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from sbk import enumeration
 from sbk.bitset import members, size
 from sbk.braces import classify, from_group, make_skew_brace
 from sbk.enumeration import (
     SUPPORTED_ORDERS,
+    _TYPE_RANKING,
     _brace_from_assignment,
     _orbit_representatives,
     _regular_assignments,
@@ -416,6 +418,30 @@ def test_catalog_blocks_ordered_by_multiplicative_type(n):
             if g == gi
         ]
         assert block == sorted(block)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_type_ranking_is_the_canonical_form_order(n):
+    forms = [oracles.canonical_form(G.table) for G in groups_of_order(n)]
+    assert _TYPE_RANKING[n] == tuple(sorted(range(len(forms)), key=forms.__getitem__))
+
+
+def test_catalog_builds_without_canonical_table(monkeypatch):
+    # the catalog sorts its blocks by _TYPE_RANKING, not by canonical tables
+    before = [all_skew_braces(n) for n in SUPPORTED_ORDERS]
+
+    def refuse(*args):
+        raise AssertionError("the catalog called canonical_table")
+
+    monkeypatch.setattr(enumeration, "canonical_table", refuse)
+    all_skew_braces.cache_clear()
+    try:
+        for old in before:
+            new = all_skew_braces(old.order)
+            assert [B.mul.table for B in new.entries] == [B.mul.table for B in old.entries]
+            assert new.provenance == old.provenance
+    finally:
+        all_skew_braces.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(1, 16))

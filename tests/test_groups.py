@@ -409,15 +409,31 @@ def test_spanning_matches_the_double_walk():
         assert reached == full_mask(len(auts)), G
 
 
+def _listable_groups():
+    """_catalog_and_product_groups without the additive group of the
+    order-64 product, whose automorphism group is too large to list in a
+    test."""
+    for n in range(1, 16):
+        yield from groups_of_order(n)
+    for _, B in product_braces():
+        yield from (B.mul,) if B.n == 64 else (B.add, B.mul)
+
+
 def test_automorphism_groups_list_the_identity_first():
     # _orbit_representatives starts _spanning at index 0 of the product
-    # rows of automorphism_group's sorted list: the identity, the least
-    # permutation. The additive group of the order-64 product is left
-    # out, as its automorphism group is too large to list in a test.
-    order_64_add = next(B.add for _, B in product_braces() if B.n == 64)
-    for G in _catalog_and_product_groups():
-        if G != order_64_add:
-            assert automorphism_group(G)[0] == tuple(range(G.n)), G
+    # rows of automorphism_group's sorted list, and _regular_assignments
+    # assigns index 0 to shift 0: the identity, the least permutation.
+    for G in _listable_groups():
+        assert automorphism_group(G)[0] == tuple(range(G.n)), G
+
+
+def test_product_rows_invert_every_automorphism():
+    # both catalog passes read inverses off _product_rows: the search to
+    # conjugate candidates, the orbit pass to build its actions
+    for G in _listable_groups():
+        rows, inverse = _product_rows(automorphism_group(G))
+        for i, j in enumerate(inverse):
+            assert rows[i][j] == 0 == rows[j][i], (G, i)
 
 
 def test_subgroups_of_c2_5():
