@@ -48,7 +48,10 @@ order row i names them hold (ij)k at jn + k, and the table translated by
 row i holds i(jk) there; i is in N exactly when the two strings are
 equal, and else the first byte where they differ names the least
 failing (j, k). One such pass per i, in order, names the first failing
-triple of a table that is not associative.
+triple of a table that is not associative. The group keeps the relabeled
+string's rows and columns as bytes, _rows and _cols, which the brace
+layer reads by whole-row translates, and reads its tuple table off that
+string in one pass; groups built in process keep none.
 
 No Latin square test is needed beside it. In an associative table with
 identity e in which every row holds e, every x has a right inverse y,
@@ -107,18 +110,31 @@ class _Frozen:
 class FiniteGroup(_Frozen):
     """Group given by its Cayley table; identity is always index 0.
 
-    Immutable after construction. Equality and hash ignore the name.
+    Immutable after construction. Equality and hash ignore the name and
+    the private _rows and _cols: on a group whose table _group_of_flat
+    checked (make_group, make_skew_brace, load_brace), the rows and
+    columns of the table as the byte strings it checked them in, which
+    the brace layer reads by whole-row translates; None on a group built
+    in process.
     """
 
     n: int
     table: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     name: str
+    _rows: Optional[tuple[bytes, ...]]
+    _cols: Optional[tuple[bytes, ...]]
 
     def __init__(
-        self, n: int, table: tuple[tuple[int, ...], ...], inv: tuple[int, ...], name: str = ""
+        self,
+        n: int,
+        table: tuple[tuple[int, ...], ...],
+        inv: tuple[int, ...],
+        name: str = "",
+        rows: Optional[tuple[bytes, ...]] = None,
+        cols: Optional[tuple[bytes, ...]] = None,
     ) -> None:
-        self.__dict__.update(n=n, table=table, inv=inv, name=name)
+        self.__dict__.update(n=n, table=table, inv=inv, name=name, _rows=rows, _cols=cols)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -178,7 +194,9 @@ def _group_of_flat(flat: Flat, identity: Optional[int]) -> FiniteGroup:
     Light's test runs on the table already relabeled, with the greedy
     span that is then the group's gens, so _spanning runs once per table.
     A table that fails is scanned as given, so every error names the
-    cells, elements and triples of the caller's labels.
+    cells, elements and triples of the caller's labels. A group keeps the
+    relabeled table's byte rows and columns, and its tuple table is read
+    off the relabeled string in one pass.
     """
     n = isqrt(len(flat))
     if n == 0:
@@ -191,11 +209,21 @@ def _group_of_flat(flat: Flat, identity: Optional[int]) -> FiniteGroup:
     # holds 0 in every row exactly when the table holds the identity there
     moved = _moved_to_zero(flat, identity) if identity else flat
     rows = [moved[i : i + n] for i in range(0, n * n, n)]
+    # where each row holds 0, -1 where it does not; in a group, the inverse
+    inv = tuple(map(bytes.find, rows, itertools.repeat(0, n)))
     # the greedy span of the table the group keeps is its gens
     span = _spanning(rows)[0]
-    if not all(0 in row for row in rows) or _associativity_failure(moved, span) is not None:
+    if -1 in inv or _associativity_failure(moved, span) is not None:
         _raise_first_violation(flat)  # in the labels as given
-    return _group(rows, gens=span)
+    G = FiniteGroup(
+        n=n,
+        table=tuple(zip(*[iter(moved)] * n)),  # n entries at a time
+        inv=inv,
+        rows=tuple(rows),
+        cols=tuple(moved[j::n] for j in range(n)),
+    )
+    G.__dict__["gens"] = span  # where cached_property keeps it
+    return G
 
 
 def _flat_table(table: Sequence[Sequence[int]], key: str, no_bools: bool = False) -> Flat:
@@ -353,20 +381,13 @@ def _spanning(
     return tuple(steps), seen
 
 
-def _group(
-    rows: Sequence[Sequence[int]], name: str = "", gens: Optional[tuple[int, ...]] = None
-) -> FiniteGroup:
+def _group(rows: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
     """The group of a table already known to be a group with identity 0;
-    nothing is checked. A right inverse in a group is two-sided, and it is
-    read off the rows as given: on the byte rows of make_group, index is a
-    memchr. gens, when given, is _spanning(rows)[0] already computed, and
-    becomes G.gens."""
+    nothing is checked, and the group keeps no byte rows. A right inverse
+    in a group is two-sided, and it is read off the rows as given."""
     inv = tuple(row.index(0) for row in rows)
     table = tuple(map(tuple, rows))
-    G = FiniteGroup(n=len(table), table=table, inv=inv, name=name)
-    if gens is not None:
-        G.__dict__["gens"] = gens  # where cached_property keeps it
-    return G
+    return FiniteGroup(n=len(table), table=table, inv=inv, name=name)
 
 
 def element_order(G: FiniteGroup, x: int) -> int:

@@ -8,8 +8,11 @@ structure(B) computes the subbraces, ideals, minimal ideals, centres and
 solubility chain of B once, from one lattice of additive subgroups: the
 subbraces are filtered from it, and the ideals from the subbraces, by the
 one ideal test here. subbrace_carriers, ideals, minimal_ideals,
-brace_centers and is_soluble_brace read it, and quotient checks its mask
-against its ideals.
+brace_centers and is_soluble_brace read it. quotient checks its mask
+without it: the mask's members must reach exactly the mask by the
+closure walk groups._spanning makes, whose steps generate it, and the
+mask must pass the carrier filter and the one ideal filter with those
+steps as its generators.
 
 The tests are decided on generators, by two facts. First, a -> lambda_a
 is a homomorphism from (B,*) (Guarnieri and Vendramin, Math. Comp. 86
@@ -26,7 +29,15 @@ from typing import Iterable, NamedTuple, Optional
 from .bitset import ElementSet, full_mask, mask_of, members
 from .braces import SkewBrace, _brace, star
 from .errors import NotAnIdeal
-from .groups import Lattice, _conjugates_inside, _group, _subgroup_lattice, center, normal_closure
+from .groups import (
+    Lattice,
+    _conjugates_inside,
+    _group,
+    _spanning,
+    _subgroup_lattice,
+    center,
+    normal_closure,
+)
 
 
 class BraceCenters(NamedTuple):
@@ -154,8 +165,20 @@ def quotient(B: SkewBrace, ideal_mask: ElementSet) -> QuotientBrace:
     """Brace on the cosets of an ideal; representatives are the smallest
     index of each coset, ordered by representative. The quotient by an
     ideal is a skew brace (Guarnieri and Vendramin, Math. Comp. 86 (2017),
-    section 2), so only the caller's mask is checked."""
-    if ideal_mask not in structure(B).ideals:
+    section 2), so only the caller's mask is checked: its members must
+    generate exactly the mask as an additive subgroup, the greedy steps of
+    that walk serving as its generators, which must then pass the carrier
+    filter of the subbrace lattice and the ideal filter."""
+    if ideal_mask >> B.n:  # an index past n, or a negative mask
+        raise NotAnIdeal(ideal_mask)
+    ms = members(ideal_mask)
+    steps, reached = _spanning(B.add.table, among=ms)
+    gens = list(steps)
+    if (
+        reached != ideal_mask
+        or not _mul_closed(B, ideal_mask, gens, ms)
+        or not _ideals_among(B, {ideal_mask: (gens, ms)})
+    ):
         raise NotAnIdeal(ideal_mask)
     n = B.n
     at = B.add.table

@@ -195,14 +195,33 @@ def _one_error_line(result, prefix="error: "):
     assert lines[0].startswith(prefix)
 
 
+UNREADABLE_FILES = {
+    "not_utf8": (b"\xff\xfe{}", None),
+    "nested_100000": (b"[" * 100_000, None),
+    # the position counts from the start of the file, past the first 8 KiB
+    "not_utf8_past_8_kib": (
+        b" " * 9000 + b"\xff",
+        "'utf-8' codec can't decode byte 0xff in position 9000: invalid start byte",
+    ),
+    # \r\n and \r read as one newline each, as in a file opened as text
+    "crlf_syntax_error": (
+        b'{"order": 1,\r\n "add": [[0]]\r,,}',
+        "Expecting property name enclosed in double quotes: line 3 column 2 (char 28)",
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not_utf8", "nested_100000"]
+    "content, message", list(UNREADABLE_FILES.values()), ids=list(UNREADABLE_FILES)
 )
-def test_unreadable_file_is_one_error_line(tmp_path, content):
+def test_unreadable_file_is_one_error_line(tmp_path, content, message):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     result = run_cli(["verify", str(path)])
-    _one_error_line(result, f"error: cannot read JSON from {path}: ")
+    prefix = f"error: cannot read JSON from {path}: "
+    _one_error_line(result, prefix)
+    if message is not None:
+        assert result.stderr == prefix + message + "\n"
 
 
 BAD_USAGE = {

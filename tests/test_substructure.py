@@ -168,6 +168,33 @@ def test_quotient_requires_ideal():
         quotient(B, small)
 
 
+def test_quotient_accepts_exactly_the_ideals():
+    """quotient checks its mask without the lattice; it must accept a mask
+    exactly when structure(B) lists it as an ideal: every additive
+    subgroup, seeded masks that are not subgroups, and masks outside
+    0..2^n - 1, on every catalog brace through order 8 and the products."""
+    rng = random.Random("quotient-masks")
+    cases = [B for n in range(1, 9) for B in all_skew_braces(n).entries]
+    cases += [B for _, B in product_braces()]
+    accepted = 0
+    for B in cases:
+        n = B.n
+        ideal_set = structure(B).ideals
+        subs = subgroups(B.add)
+        others = [0, -1, -full_mask(n), 1 << n, full_mask(n + 1)]
+        others += [rng.getrandbits(n) | rng.getrandbits(1) for _ in range(10)]
+        others += [m ^ 1 << rng.randrange(1, n) for m in subs if n > 1]
+        for m in subs + [m for m in others if m not in subs]:
+            if m in ideal_set:
+                q = quotient(B, m)
+                assert q.brace.n * size(m) == n
+                accepted += 1
+            else:
+                with pytest.raises(NotAnIdeal):
+                    quotient(B, m)
+        assert accepted and set(ideal_set) <= set(subs)
+
+
 def test_quotient_respects_star():
     # the star of cosets is the coset of the star
     for B in all_skew_braces(6).entries:
