@@ -46,17 +46,17 @@ Only tables from outside are checked: opposite braces, quotients by
 ideals, from_group braces and catalog entries are skew braces by
 theorem, each cited where it is built, so _brace builds them unchecked.
 
-On groups loaded from tables, which keep their byte rows and columns,
-each side of the law at (a, c), for every b at once, is one or two
-bytes.translate calls on whole rows and columns, and so is each lambda
-row, which the brace keeps as bytes too for the Yang-Baxter map. Groups
-built in process, and any group past order 256, where one byte cannot
-hold an entry, take an itemgetter over tuple rows instead. Both paths
-name the same first bad triple.
+Up to order 256 each group has byte rows and columns, _rows and _cols,
+and each side of the law at (a, c), for every b at once, is one or two
+bytes.translate calls on them, and so is each lambda row, which the
+brace keeps joined as bytes too for the Yang-Baxter map. Past order 256,
+where one byte cannot hold an entry, each is an itemgetter over tuple
+rows instead. Both paths name the same first bad triple.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import itemgetter
 from typing import Literal, NamedTuple, Optional, Sequence
 
@@ -75,25 +75,21 @@ from .groups import (
 
 class SkewBrace(_Frozen):
     """Immutable after construction. Equality and hash ignore lam, which the
-    two groups determine, and the private _lam_flat: the lambda rows joined
-    in one byte string, as _brace translated them, when both groups keep
-    byte rows, and None otherwise."""
+    two groups determine."""
 
     n: int
     add: FiniteGroup
     mul: FiniteGroup
     lam: tuple[Perm, ...]
-    _lam_flat: Optional[bytes]
 
-    def __init__(
-        self,
-        n: int,
-        add: FiniteGroup,
-        mul: FiniteGroup,
-        lam: tuple[Perm, ...],
-        lam_flat: Optional[bytes] = None,
-    ) -> None:
-        self.__dict__.update(n=n, add=add, mul=mul, lam=lam, _lam_flat=lam_flat)
+    def __init__(self, n: int, add: FiniteGroup, mul: FiniteGroup, lam: tuple[Perm, ...]) -> None:
+        self.__dict__.update(n=n, add=add, mul=mul, lam=lam)
+
+    @cached_property
+    def _lam_flat(self) -> bytes:
+        """The lambda rows joined in one byte string, which the Yang-Baxter
+        map reads up to order 256; _brace keeps the string it translated."""
+        return b"".join(map(bytes, self.lam))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -129,9 +125,8 @@ def assemble(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
     n = add.n
     if mul.n != n:
         raise ValueError(f"group orders differ: {n} vs {mul.n}")
-    rows = mul._rows or mul.table
-    if not _law_holds(add, rows, mul.gens):
-        raise LeftDistributivityFails(*_law_failure(add, rows, range(n), range(n)))
+    if not _law_holds(add, mul._rows, mul.gens):
+        raise LeftDistributivityFails(*_law_failure(add, mul._rows, range(n), range(n)))
     return _brace(add, mul)
 
 
@@ -152,40 +147,36 @@ def _law_failure(
 ) -> Optional[tuple[int, int, int]]:
     """The first triple (a, b, c) with a in as_ and c in cs that breaks the
     law, in the order of a in as_, then b, then c; None when there is none.
-    mul_table may be any table, its rows bytes or tuples.
+    mul_table may be any table, its rows bytes or sequences of ints.
 
-    Each side is one whole-row operation per (a, c). When add keeps its
-    byte columns, col[c][b] = b + c, each is a bytes.translate, whose table
-    is a row or column padded to 256 bytes: a * (b + c) is col[c]
-    translated by row a, and (a*b - a) + a*c is row a translated by
-    col[-a], then by col[a*c]. Otherwise each is an itemgetter call over a
-    row. At order 1 an itemgetter returns a scalar, not a 1-tuple, so that
-    order returns at once: every entry is 0 and the law holds.
+    Each side is one whole-row operation per (a, c). Up to order 256, with
+    cols[c][b] = b + c the additive byte columns, each is a
+    bytes.translate, whose table is a row or column padded to 256 bytes
+    where it is read: a * (b + c) is cols[c] translated by row a, and
+    (a*b - a) + a*c is row a translated by cols[-a], then by cols[a*c].
+    Past it each is an itemgetter call over a row.
     """
     n = add.n
-    if n == 1:
-        return None
     inv = add.inv
-    cols = add._cols
-    if cols is None:
-        plus = add.columns  # plus[c][b] = b + c
+    cols = add._cols  # cols[c][b] = b + c
+    if n > 256:
         # at_plus(r) = (r[b + c] for every b), one getter per c
-        steps = [(c, itemgetter(*plus[c])) for c in cs]
+        steps = [(c, itemgetter(*cols[c])) for c in cs]
     else:
         pad = bytes(256 - n)
-        col = [c + pad for c in cols]
     for a in as_:
         mrow = mul_table[a]
-        if cols is None:
-            at_ab_minus_a = itemgetter(*itemgetter(*mrow)(plus[inv[a]]))
+        if n > 256:
+            at_ab_minus_a = itemgetter(*itemgetter(*mrow)(cols[inv[a]]))
             # (c, a * (b + c), (a*b - a) + a*c), each for every b
-            sides = ((c, at_plus(mrow), at_ab_minus_a(plus[mrow[c]])) for c, at_plus in steps)
+            sides = ((c, at_plus(mrow), at_ab_minus_a(cols[mrow[c]])) for c, at_plus in steps)
         else:
             mrow = bytes(mrow)
             at_mrow = mrow + pad
-            ab_minus_a = mrow.translate(col[inv[a]])
+            ab_minus_a = mrow.translate(cols[inv[a]] + pad)
             sides = (
-                (c, cols[c].translate(at_mrow), ab_minus_a.translate(col[mrow[c]])) for c in cs
+                (c, cols[c].translate(at_mrow), ab_minus_a.translate(cols[mrow[c]] + pad))
+                for c in cs
             )
         first = None
         for c, left, right in sides:
@@ -204,25 +195,20 @@ def _brace(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
     nowhere else: row a is row -a of the additive table read at the
     entries of row a of the multiplicative one.
 
-    When both groups keep byte rows that is one bytes.translate of mul's
-    row a by add's row -a, padded to 256 bytes; the brace keeps the rows
-    joined, and reads its tuple rows off them n entries at a time.
-    Otherwise it is one itemgetter call; at order 1 an itemgetter returns a
-    scalar, not a 1-tuple, so that order is built apart."""
+    Up to order 256 that is one bytes.translate of mul's byte row a by
+    add's byte row -a, padded to 256 bytes; the brace keeps the rows
+    joined as its _lam_flat, and reads its tuple rows off them n entries
+    at a time. Past it, it is one itemgetter call."""
     n = add.n
-    if add._rows is not None and mul._rows is not None:
-        pad = bytes(256 - n)
-        at = add._rows
-        flat = b"".join([row.translate(at[a_inv] + pad) for row, a_inv in zip(mul._rows, add.inv)])
-        lam = tuple(zip(*[iter(flat)] * n))
-        return SkewBrace(n=n, add=add, mul=mul, lam=lam, lam_flat=flat)
-    if n == 1:
-        return SkewBrace(n=1, add=add, mul=mul, lam=((0,),))
-    at = add.table
-    lam = tuple(
-        itemgetter(*row)(at[a_inv]) for row, a_inv in zip(mul.table, add.inv)
-    )
-    return SkewBrace(n=n, add=add, mul=mul, lam=lam)
+    at = add._rows
+    if n > 256:
+        lam = tuple(itemgetter(*row)(at[a_inv]) for row, a_inv in zip(mul.table, add.inv))
+        return SkewBrace(n=n, add=add, mul=mul, lam=lam)
+    pad = bytes(256 - n)
+    flat = b"".join([row.translate(at[a_inv] + pad) for row, a_inv in zip(mul._rows, add.inv)])
+    B = SkewBrace(n=n, add=add, mul=mul, lam=tuple(zip(*[iter(flat)] * n)))
+    B.__dict__["_lam_flat"] = flat  # where cached_property keeps it
+    return B
 
 
 def _op(G: FiniteGroup) -> FiniteGroup:
@@ -282,7 +268,7 @@ def _is_bi_skew(B: SkewBrace) -> bool:
     """Whether the law holds with the operations exchanged: (B,*) as the
     additive group, + as the multiplication. Both are groups with identity
     0, so this alone makes the swapped structure a skew brace."""
-    return _law_holds(B.mul, B.add._rows or B.add.table, B.add.gens)
+    return _law_holds(B.mul, B.add._rows, B.add.gens)
 
 
 def is_trivial(B: SkewBrace) -> bool:
@@ -291,17 +277,14 @@ def is_trivial(B: SkewBrace) -> bool:
 
 def is_almost_trivial(B: SkewBrace) -> bool:
     """Whether a*b = b + a for all a and b: the multiplication table is the
-    transposed additive one, read off the byte rows and columns when both
-    groups keep them."""
-    if B.mul._rows is not None and B.add._cols is not None:
-        return B.mul._rows == B.add._cols
-    return B.mul.table == B.add.columns
+    transposed additive one."""
+    return B.mul._rows == B.add._cols
 
 
 def is_two_sided(B: SkewBrace) -> bool:
     """Whether the mirrored law (b + c)*a = b*a - a + c*a also holds: the
     left law for the opposite multiplication, the transposed table."""
-    return _law_holds(B.add, B.mul._cols or B.mul.columns, B.mul.gens)
+    return _law_holds(B.add, B.mul._cols, B.mul.gens)
 
 
 def classify(B: SkewBrace) -> BraceFlags:

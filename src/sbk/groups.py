@@ -48,10 +48,10 @@ order row i names them hold (ij)k at jn + k, and the table translated by
 row i holds i(jk) there; i is in N exactly when the two strings are
 equal, and else the first byte where they differ names the least
 failing (j, k). One such pass per i, in order, names the first failing
-triple of a table that is not associative. The group keeps the relabeled
-string's rows and columns as bytes, _rows and _cols, which the brace
-layer reads by whole-row translates, and reads its tuple table off that
-string in one pass; groups built in process keep none.
+triple of a table that is not associative. The group reads its tuple
+table off the relabeled string in one pass, and keeps that string's rows
+and columns as its _rows and _cols, the byte rows and columns every group
+up to order 256 has and the brace layer reads by whole-row translates.
 
 No Latin square test is needed beside it. In an associative table with
 identity e in which every row holds e, every x has a right inverse y,
@@ -110,31 +110,18 @@ class _Frozen:
 class FiniteGroup(_Frozen):
     """Group given by its Cayley table; identity is always index 0.
 
-    Immutable after construction. Equality and hash ignore the name and
-    the private _rows and _cols: on a group whose table _group_of_flat
-    checked (make_group, make_skew_brace, load_brace), the rows and
-    columns of the table as the byte strings it checked them in, which
-    the brace layer reads by whole-row translates; None on a group built
-    in process.
+    Immutable after construction. Equality and hash ignore the name.
     """
 
     n: int
     table: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     name: str
-    _rows: Optional[tuple[bytes, ...]]
-    _cols: Optional[tuple[bytes, ...]]
 
     def __init__(
-        self,
-        n: int,
-        table: tuple[tuple[int, ...], ...],
-        inv: tuple[int, ...],
-        name: str = "",
-        rows: Optional[tuple[bytes, ...]] = None,
-        cols: Optional[tuple[bytes, ...]] = None,
+        self, n: int, table: tuple[tuple[int, ...], ...], inv: tuple[int, ...], name: str = ""
     ) -> None:
-        self.__dict__.update(n=n, table=table, inv=inv, name=name, _rows=rows, _cols=cols)
+        self.__dict__.update(n=n, table=table, inv=inv, name=name)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -158,6 +145,26 @@ class FiniteGroup(_Frozen):
         """The transposed table, columns[j][i] = i o j; computed once per
         group."""
         return tuple(zip(*self.table))
+
+    @cached_property
+    def _rows(self) -> Sequence[Sequence[int]]:
+        """The rows of the table as whole-row reads take them fastest: byte
+        strings, which bytes.translate reads, up to order 256, and past
+        it, where one byte cannot hold an entry, the tuple table itself.
+        Computed once per group; _group_of_flat keeps the rows it checked."""
+        if self.n > 256:
+            return self.table
+        return tuple(map(bytes, self.table))
+
+    @cached_property
+    def _cols(self) -> Sequence[Sequence[int]]:
+        """The columns of the table, in the form _rows has: columns[j] as
+        bytes up to order 256, the tuple columns past it."""
+        n = self.n
+        if n > 256:
+            return self.columns
+        flat = b"".join(self._rows)
+        return tuple(flat[j::n] for j in range(n))
 
     def __repr__(self) -> str:
         label = self.name or f"order {self.n}"
@@ -194,9 +201,9 @@ def _group_of_flat(flat: Flat, identity: Optional[int]) -> FiniteGroup:
     Light's test runs on the table already relabeled, with the greedy
     span that is then the group's gens, so _spanning runs once per table.
     A table that fails is scanned as given, so every error names the
-    cells, elements and triples of the caller's labels. A group keeps the
-    relabeled table's byte rows and columns, and its tuple table is read
-    off the relabeled string in one pass.
+    cells, elements and triples of the caller's labels. The group's tuple
+    table is read off the relabeled string in one pass, and its _rows and
+    _cols are that string's rows and columns.
     """
     n = isqrt(len(flat))
     if n == 0:
@@ -215,14 +222,10 @@ def _group_of_flat(flat: Flat, identity: Optional[int]) -> FiniteGroup:
     span = _spanning(rows)[0]
     if -1 in inv or _associativity_failure(moved, span) is not None:
         _raise_first_violation(flat)  # in the labels as given
-    G = FiniteGroup(
-        n=n,
-        table=tuple(zip(*[iter(moved)] * n)),  # n entries at a time
-        inv=inv,
-        rows=tuple(rows),
-        cols=tuple(moved[j::n] for j in range(n)),
-    )
-    G.__dict__["gens"] = span  # where cached_property keeps it
+    table = tuple(zip(*[iter(moved)] * n))  # n entries at a time
+    G = FiniteGroup(n=n, table=table, inv=inv)
+    # where cached_property keeps each
+    G.__dict__.update(gens=span, _rows=tuple(rows), _cols=tuple(moved[j::n] for j in range(n)))
     return G
 
 
@@ -383,8 +386,8 @@ def _spanning(
 
 def _group(rows: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:
     """The group of a table already known to be a group with identity 0;
-    nothing is checked, and the group keeps no byte rows. A right inverse
-    in a group is two-sided, and it is read off the rows as given."""
+    nothing is checked. A right inverse in a group is two-sided, and it is
+    read off the rows as given."""
     inv = tuple(row.index(0) for row in rows)
     table = tuple(map(tuple, rows))
     return FiniteGroup(n=len(table), table=table, inv=inv, name=name)

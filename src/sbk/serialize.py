@@ -160,11 +160,8 @@ def brace_to_obj(B: SkewBrace) -> dict[str, Any]:
 
 
 def load_brace(path: str) -> SkewBrace:
-    """The brace of a JSON file, read as bytes, decoded as UTF-8 in one
-    call with CR LF and a lone CR read as newlines, as a file opened as
-    text reads, then decoded by json.loads and checked as brace_from_obj checks
-    it, with the same errors: a decode error names its position in the
-    whole file, and a JSON error the same character as in a text read. json
+    """The brace of a JSON file, read as text and decoded by json.loads,
+    and checked as brace_from_obj checks it, with the same errors. json
     decodes a value to a bool only where the text spells true or false;
     every other value it decodes is an int, a float (1.0, 1e0, NaN,
     Infinity, 1E400), a str, None, a list or a dict, and bytes() refuses
@@ -172,10 +169,8 @@ def load_brace(path: str) -> SkewBrace:
     a key or string too, no entry can be a bool and the int-type count is
     skipped; when either appears, it runs."""
     try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
-        if "\r" in text:  # the universal newlines of a file opened as text
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         obj = json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers bad JSON and bytes that are not UTF-8

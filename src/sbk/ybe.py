@@ -48,18 +48,17 @@ def to_solution(B: SkewBrace) -> YBEMap:
     minv.translate(col_x) sends a to a'*x, so it takes row x of u to row x
     of c = u'*x. Column y of c, c[y::n], translated by col_y is column y of
     v = c*y, which goes straight to the odd cells 2(xn + y) + 1; u fills
-    the even ones. A loaded brace's u and columns of (B,*) are read as the
-    byte strings it kept; any other brace's are encoded here.
-    ValueError past order 256, one byte per entry.
+    the even ones. u and the columns of (B,*) are the byte strings the
+    brace and its group keep. ValueError past order 256, one byte per
+    entry.
     """
     n = B.n
     if n > 256:
         raise ValueError(f"a Yang-Baxter map is built up to order 256, not {n}")
     pad = bytes(256 - n)
-    mul_cols = B.mul._cols or tuple(map(bytes, B.mul.columns))
-    cols = [col + pad for col in mul_cols]
+    cols = [col + pad for col in B.mul._cols]
     minv = bytes(B.mul.inv) + pad
-    u = B._lam_flat or b"".join(map(bytes, B.lam))
+    u = B._lam_flat
     c = b"".join([u[x * n : x * n + n].translate(minv.translate(cols[x])) for x in range(n)])
     cells = bytearray(2 * n * n)
     cells[::2] = u

@@ -1,13 +1,15 @@
 """The byte path of the group and brace layers.
 
-Every group make_group checks keeps its relabeled rows and columns as byte
-strings, and on those groups the lambda rows, the compatibility law and the
-Yang-Baxter map are read by whole-row bytes.translate calls. Groups built
-in process keep none and take the itemgetter path. These tests hold the
-byte path to the tuple formulas it replaced: each catalog brace through
-order 15 and each product of orders 16 to 64 is written with a seeded
-relabeling that moves the identity off index 0, loaded with load_brace,
-and compared with the same brace built on the itemgetter path.
+Every group up to order 256 has byte rows and columns: a group make_group
+checks keeps the relabeled strings it checked them in, and any other group
+derives them from its tuple table. On them the lambda rows, the
+compatibility law and the Yang-Baxter map are read by whole-row
+bytes.translate calls; past order 256, where one byte cannot hold an
+entry, lambda and the law take an itemgetter over tuple rows. These tests
+hold both paths to the tuple formulas: each catalog brace through order 15
+and each product of orders 16 to 64 is written with a seeded relabeling
+that moves the identity off index 0, loaded with load_brace, and compared
+with the same brace rebuilt from lists and on groups built in process.
 """
 
 import functools
@@ -17,7 +19,7 @@ from operator import itemgetter
 
 import pytest
 
-from sbk.braces import _law_failure, assemble, classify, from_group, make_skew_brace
+from sbk.braces import BraceFlags, _law_failure, assemble, classify, from_group, make_skew_brace
 from sbk.enumeration import SUPPORTED_ORDERS, all_skew_braces
 from sbk.errors import LeftDistributivityFails
 from sbk.groups import _group, cyclic_group, make_group
@@ -33,9 +35,10 @@ def _products():
     return list(product_braces())
 
 
-def _tuple_path(B):
-    """B rebuilt from its tables on the itemgetter path: groups that keep
-    no byte rows, the law checked by assemble."""
+def _in_process(B):
+    """B rebuilt from its tuple tables on groups built in process, whose
+    byte rows and columns are derived from those tables, the law checked
+    by assemble."""
     return assemble(_group(B.add.table), _group(B.mul.table))
 
 
@@ -92,11 +95,14 @@ def test_loaded_braces_match_the_tuple_formulas(tmp_path):
         rebuilt = make_skew_brace(
             [list(r) for r in B.add.table], [list(r) for r in B.mul.table]
         )
-        plain = _tuple_path(B)
-        assert plain._lam_flat is None and plain.add._rows is None, name
-        assert B == rebuilt == plain and B.lam == rebuilt.lam == plain.lam, name
-        assert classify(B) == classify(rebuilt) == classify(plain), name
-        assert to_solution(B) == to_solution(rebuilt) == to_solution(plain), name
+        built = _in_process(B)
+        for G, H in ((B.add, built.add), (B.mul, built.mul)):
+            # the rows and columns a check kept, and those derived from tuples
+            assert G._rows == H._rows and G._cols == H._cols, name
+        assert B == rebuilt == built and B.lam == rebuilt.lam == built.lam, name
+        assert B._lam_flat == built._lam_flat, name
+        assert classify(B) == classify(rebuilt) == classify(built), name
+        assert to_solution(B) == to_solution(rebuilt) == to_solution(built), name
         count += 1
     assert count == expected_count
 
@@ -105,26 +111,46 @@ def test_loaded_braces_match_the_tuple_formulas(tmp_path):
 def test_past_order_256_lambda_takes_the_itemgetter_path(mode):
     n = 257
     B = from_group(cyclic_group(n), mode)
-    assert B.add._rows is None and B.mul._rows is None and B._lam_flat is None
+    # no byte strings: the rows and columns are the tuple ones
+    assert B.add._rows is B.add.table and B.mul._cols is B.mul.columns
+    assert "_lam_flat" not in B.__dict__
     at, mt = B.add.table, B.mul.table
     for a in (0, 1, 128, 256):
         assert B.lam[a] == tuple(at[B.add.inv[a]][mt[a][b]] for b in range(n))
     # C257 is abelian: both modes give the trivial brace, lam the identity
     assert B.lam[1] == tuple(range(n))
+    assert classify(B) == BraceFlags(True, True, True, True, True)
+
+
+def test_past_order_256_the_law_takes_the_itemgetter_path():
+    n = 257
+    add = cyclic_group(n)
+    broken_cell = [list(r) for r in add.table]
+    broken_cell[1][7] = broken_cell[1][8]
+    swapped = [list(r) for r in add.table]
+    swapped[2][3], swapped[2][200] = swapped[2][200], swapped[2][3]
+    ranges = ((range(3), range(n)), ((2, 1, 0), add.gens), (range(n - 1, n - 4, -1), range(n)))
+    failures = 0
+    for mul in (add.table, broken_cell, swapped):
+        for as_, cs in ranges:
+            expected = oracles.law_failure_by_lists(add.table, mul, as_, cs)
+            assert _law_failure(add, mul, as_, cs) == expected
+            failures += expected is not None
+    assert failures == 4
 
 
 def _assert_law_kernels_agree(add_table, mul_table, name):
-    """_law_failure on a group that keeps byte columns, with the rows given
-    as lists and as bytes, and on the same group without them, names the
-    list loop's first triple, over every element and over generators."""
+    """_law_failure on a group that keeps the byte columns make_group
+    checked, and on the same group built in process, with the rows given
+    as lists and as bytes, names the list loop's first triple, over every
+    element and over generators."""
     n = len(add_table)
     loaded = make_group(add_table)
-    plain = _group(loaded.table)
-    assert loaded._cols is not None and plain._cols is None
+    built = _group(loaded.table)
     ranges = ((range(n), range(n)), (range(n), loaded.gens), (range(n - 1, -1, -2), range(n)))
     for as_, cs in ranges:
         expected = oracles.law_failure_by_lists(loaded.table, mul_table, as_, cs)
-        for add in (loaded, plain):
+        for add in (loaded, built):
             assert _law_failure(add, mul_table, as_, cs) == expected, name
         assert _law_failure(loaded, tuple(map(bytes, mul_table)), as_, cs) == expected, name
 
@@ -156,15 +182,15 @@ def test_byte_law_on_every_table_of_orders_1_and_2():
             _assert_law_kernels_agree(add, mul, str(mul))
 
 
-def test_assemble_names_the_same_triple_on_both_paths():
+def test_assemble_names_the_same_triple_on_loaded_and_built_groups():
     rejected = 0
     for n in (8, 12, 16):
         entries = all_skew_braces(n).entries if n < 16 else [B for _, B in _products() if B.n == n]
         for A, M in itertools.product(entries[::4], repeat=2):
             loaded = make_group(A.add.table), make_group(M.mul.table)
-            plain = _group(A.add.table), _group(M.mul.table)
+            built = _group(A.add.table), _group(M.mul.table)
             outcomes = []
-            for add, mul in (loaded, plain):
+            for add, mul in (loaded, built):
                 try:
                     outcomes.append(assemble(add, mul).lam)
                 except LeftDistributivityFails as exc:
